@@ -212,6 +212,9 @@ class DistributedExecutor(Executor):
         self._respawns = 0
         self._respawn_due = 0.0
         self._respawning = False
+        #: _ensure_fleet is waiting for the fleet to assemble; worker
+        #: deaths then respawn just as they do mid-map.
+        self._starting = False
         self._chaos_done = False
         self._closed = False
         self._listener: Optional[socket.socket] = None
@@ -310,26 +313,60 @@ class DistributedExecutor(Executor):
                 raise FleetError("executor is closed")
             self._bind()
             live = sum(1 for w in self._workers.values() if w.alive)
-            to_spawn = self.workers - live if self.spawn else 0
+            to_spawn = (
+                self.workers - live - self._joining_locked()
+                if self.spawn else 0
+            )
             for _ in range(max(0, to_spawn)):
                 self._spawn_worker()
             want = self.workers if self.spawn else 1
         deadline = time.monotonic() + self.spawn_timeout_s
         with self._cond:
-            while True:
-                live = sum(1 for w in self._workers.values() if w.alive)
-                if live >= want:
-                    return
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise FleetError(
-                        f"only {live}/{want} workers joined within "
-                        f"{self.spawn_timeout_s:.0f}s"
-                        + ("" if self.spawn else
-                           " (external mode: start a fleet with "
-                           "'repro-tool workers')")
-                    )
-                self._cond.wait(min(remaining, 0.2))
+            self._starting = True
+            try:
+                while True:
+                    live = sum(1 for w in self._workers.values() if w.alive)
+                    if live >= want:
+                        return
+                    if self.spawn and not self._replacement_coming_locked():
+                        raise FleetError(
+                            f"only {live}/{want} workers joined and none is "
+                            "starting or due to respawn (respawns used: "
+                            f"{self._respawns}/{self.max_respawns})"
+                        )
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise FleetError(
+                            f"only {live}/{want} workers joined within "
+                            f"{self.spawn_timeout_s:.0f}s"
+                            + ("" if self.spawn else
+                               " (external mode: start a fleet with "
+                               "'repro-tool workers')")
+                        )
+                    self._cond.wait(min(remaining, 0.2))
+            finally:
+                self._starting = False
+
+    def _joining_locked(self) -> int:
+        """Spawned worker processes still running but not yet admitted."""
+        admitted = {w.pid for w in self._workers.values()}
+        return sum(
+            1 for p in self._spawned_procs
+            if p.poll() is None and p.pid not in admitted
+        )
+
+    def _replacement_coming_locked(self) -> bool:
+        """A worker is joining, being respawned, or due to be."""
+        return (
+            self._joining_locked() > 0 or self._respawning
+            or self._respawn_due > 0.0
+        )
+
+    def _fleet_needed_locked(self) -> bool:
+        """Dead workers are replaced while the fleet assembles or a map
+        is in flight, under one ``max_respawns`` budget."""
+        state = self._state
+        return self._starting or (state is not None and not state.done)
 
     def _accept_loop(self) -> None:
         while not self._closed:
@@ -545,7 +582,7 @@ class DistributedExecutor(Executor):
                         "repro_dist_reassignments_total",
                         "In-flight shards requeued after a worker died",
                     ).inc()
-            if self.spawn and state is not None and not state.done \
+            if self.spawn and self._fleet_needed_locked() \
                     and self._respawns < self.max_respawns:
                 self._respawns += 1
                 self._respawn_due = time.monotonic() + \
@@ -588,12 +625,14 @@ class DistributedExecutor(Executor):
                         ))
                 due = (
                     self._respawn_due and now >= self._respawn_due
-                    and self._state is not None and not self._state.done
+                    and self._fleet_needed_locked()
                 )
                 if due:
                     self._respawn_due = 0.0
                     live = sum(1 for w in self._workers.values() if w.alive)
-                    spawn_now = max(0, self.workers - live)
+                    spawn_now = max(
+                        0, self.workers - live - self._joining_locked()
+                    )
                     if spawn_now:
                         # Holds off _wait_locked's all-dead check until
                         # the replacement processes are on the books.
@@ -789,15 +828,7 @@ class DistributedExecutor(Executor):
                 raise FleetError("executor closed during a map")
             live = sum(1 for w in self._workers.values() if w.alive)
             if live == 0 and (state.pending or state.inflight):
-                admitted = {w.pid for w in self._workers.values()}
-                joining = any(
-                    p.poll() is None and p.pid not in admitted
-                    for p in self._spawned_procs
-                )
-                can_respawn = (
-                    joining or self._respawning or self._respawn_due > 0.0
-                )
-                if not can_respawn:
+                if not self._replacement_coming_locked():
                     raise WorkerLostError(
                         "all workers died with no respawn scheduled "
                         f"(budget {self._respawns}/{self.max_respawns} used) "

@@ -24,6 +24,7 @@ determinism contract (the controller hashes its decision trace).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
@@ -248,6 +249,10 @@ def waterfill_allocation(
     cap never increases a runtime, so the surplus pass keeps ``T*``
     while turning spare watts into headroom for the non-bottleneck
     nodes.
+
+    The bottleneck comes off a heap keyed ``(-runtime, node_id)``: only
+    the raised node's key changes per step, so the at most ``N * G``
+    raises (``G`` = grid size) cost ``O(N * G * log N)`` in all.
     """
     budget_w = check_budget_w(budget_w)
     ordered = _sorted_nodes(nodes)
@@ -256,11 +261,12 @@ def waterfill_allocation(
     caps = {n.node_id: 0.0 for n in ordered}
     index = {n.node_id: 0 for n in ordered}
     spent = 0.0
+    # node_ids are unique, so the key is a strict total order and the
+    # model in the third slot is never compared.
+    heap = [(-n.runtime_at(0), n.node_id, n) for n in ordered]
+    heapq.heapify(heap)
     while True:
-        bottleneck = min(
-            ordered, key=lambda n: (-n.runtime_at(index[n.node_id]), n.node_id)
-        )
-        nid = bottleneck.node_id
+        _, nid, bottleneck = heap[0]
         nxt = index[nid] + 1
         if nxt >= len(bottleneck.grid):
             break  # the bottleneck already runs at its top clock
@@ -270,6 +276,7 @@ def waterfill_allocation(
         caps[nid] = bottleneck.power_w[nxt]
         index[nid] = nxt
         spent += delta
+        heapq.heapreplace(heap, (-bottleneck.runtime_at(nxt), nid, bottleneck))
     for n in ordered:
         nid = n.node_id
         if caps[nid] == 0.0:

@@ -31,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
+from repro.cache.fingerprint import canonical_json
 from repro.hardware.cpu import CpuSpec
 from repro.hardware.powercurves import PowerCurve
 from repro.hardware.workload import FREQUENCY_SENSITIVITY, WorkloadKind
@@ -254,6 +255,15 @@ class ClusterCapController:
         self._lock = threading.RLock()
         # node_id -> (cpu, power_curve, work)
         self._nodes: Dict[str, Tuple[CpuSpec, PowerCurve, float]] = {}
+        # node_id -> canonical JSON of its (cpu, curve): nodes with equal
+        # keys share watt->GHz inversions.
+        self._curve_keys: Dict[str, str] = {}
+        # node_id -> phase -> model, built on the node's first epoch in
+        # that phase; dropped on leave and when a re-join changes work.
+        self._models: Dict[str, Dict[str, NodePowerModel]] = {}
+        # curve key -> (phase, watts) -> (cap_ghz, infeasible); dropped
+        # when the last node with that key leaves.
+        self._inversions: Dict[str, Dict[Tuple[str, float], Tuple[float, bool]]] = {}
         self._demand: Dict[str, Deque[float]] = {}
         self._caps: Dict[str, NodeCap] = {}
         self._phase = "compress"
@@ -276,17 +286,24 @@ class ClusterCapController:
         """Register a node and re-solve the allocation.
 
         Joining an already-registered node_id only updates its work
-        weight (idempotent re-announcement, no epoch).
+        weight (idempotent re-announcement, no epoch). The curve is
+        treated as immutable from here on: the node's models and
+        inversions are derived from it once and reused every epoch.
         """
         node_id = str(node_id)
         if not node_id:
             raise ValueError("node_id must be a non-empty string")
+        work = float(work)
         with self._lock:
             if node_id in self._nodes:
-                old_cpu, old_curve, _ = self._nodes[node_id]
-                self._nodes[node_id] = (old_cpu, old_curve, float(work))
+                old_cpu, old_curve, old_work = self._nodes[node_id]
+                if work != old_work:
+                    self._nodes[node_id] = (old_cpu, old_curve, work)
+                    self._models.pop(node_id, None)
                 return self.caps()
-            self._nodes[node_id] = (cpu, power_curve, float(work))
+            curve_key = canonical_json([cpu, power_curve])
+            self._nodes[node_id] = (cpu, power_curve, work)
+            self._curve_keys[node_id] = curve_key
             self._demand.setdefault(
                 node_id, deque(maxlen=self._demand_window)
             )
@@ -299,6 +316,10 @@ class ClusterCapController:
             if node_id not in self._nodes:
                 raise KeyError(f"unknown node_id {node_id!r}")
             del self._nodes[node_id]
+            self._models.pop(node_id, None)
+            curve_key = self._curve_keys.pop(node_id)
+            if curve_key not in self._curve_keys.values():
+                self._inversions.pop(curve_key, None)
             self._demand.pop(node_id, None)
             self._caps.pop(node_id, None)
             return self._reallocate_locked("leave")
@@ -384,15 +405,31 @@ class ClusterCapController:
         with self._lock:
             return self._caps[str(node_id)]
 
+    def _model_locked(self, node_id: str) -> NodePowerModel:
+        """The node's model for the current phase, built once."""
+        models = self._models.setdefault(node_id, {})
+        model = models.get(self._phase)
+        if model is None:
+            cpu, curve, work = self._nodes[node_id]
+            model = models[self._phase] = node_power_model(
+                node_id, cpu, curve, phase=self._phase, work=work
+            )
+        return model
+
+    def _cap_ghz_locked(self, node_id: str, cap_w: float) -> Tuple[float, bool]:
+        """Memoized :func:`cap_ghz_for_watts` for the current phase."""
+        memo = self._inversions.setdefault(self._curve_keys[node_id], {})
+        key = (self._phase, cap_w)
+        hit = memo.get(key)
+        if hit is None:
+            cpu, curve, _ = self._nodes[node_id]
+            hit = memo[key] = cap_ghz_for_watts(cpu, curve, cap_w, self._phase)
+        return hit
+
     def _reallocate_locked(self, event: str) -> Dict[str, NodeCap]:
         from repro.observability import get_registry, get_tracer
 
-        models = [
-            node_power_model(
-                node_id, cpu, curve, phase=self._phase, work=work
-            )
-            for node_id, (cpu, curve, work) in sorted(self._nodes.items())
-        ]
+        models = [self._model_locked(node_id) for node_id in sorted(self._nodes)]
         node_budget = self.budget_w - self.nfs_reserve_w
         demands = {
             node_id: sum(window) / len(window)
@@ -416,13 +453,13 @@ class ClusterCapController:
                 )
             caps: Dict[str, NodeCap] = {}
             for model in models:
-                cpu, curve, _ = self._nodes[model.node_id]
                 cap_w = watts[model.node_id]
                 if cap_w <= 0:
+                    cpu = self._nodes[model.node_id][0]
                     cap_ghz, infeasible = cpu.fmin_ghz, True
                 else:
-                    cap_ghz, infeasible = cap_ghz_for_watts(
-                        cpu, curve, cap_w, self._phase
+                    cap_ghz, infeasible = self._cap_ghz_locked(
+                        model.node_id, cap_w
                     )
                 caps[model.node_id] = NodeCap(
                     node_id=model.node_id,

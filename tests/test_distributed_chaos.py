@@ -21,13 +21,15 @@ the map with :class:`WorkerLostError` instead of respawning forever.
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.cache import ResultCache, encode_value, set_cache
-from repro.distributed import DistributedExecutor, WorkerLostError
+from repro.distributed import DistributedExecutor, FleetError, WorkerLostError
 from repro.hardware.cpu import SKYLAKE_4114
 from repro.observability.metrics import get_registry
 from repro.workflow.campaign import CheckpointCampaign, run_campaign_sweep
@@ -216,5 +218,28 @@ class TestKillBudget:
             assert ex.map(_slow_square, list(range(6))) == [
                 x * x for x in range(6)
             ]
+        finally:
+            ex.close()
+
+
+class _StillbornExecutor(DistributedExecutor):
+    """Spawns worker processes that exit before they ever connect."""
+
+    def _spawn_worker(self):
+        proc = subprocess.Popen([sys.executable, "-c", "raise SystemExit(3)"])
+        with self._lock:
+            self._spawned_procs.append(proc)
+        return proc
+
+
+class TestStartupDeaths:
+    def test_fleet_that_cannot_assemble_fails_without_waiting(self):
+        # Nothing is left joining and no death was admitted to respawn,
+        # so the start-up wait raises at once instead of running out
+        # its spawn timeout.
+        ex = _StillbornExecutor(2, spawn_timeout_s=3600.0)
+        try:
+            with pytest.raises(FleetError, match="none is starting"):
+                ex.map(_slow_square, [1, 2, 3])
         finally:
             ex.close()

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.powercap.allocation import (
+    _EPS,
     ALLOCATION_POLICIES,
     NodePowerModel,
+    _sorted_nodes,
     allocate_budget,
     allocation_makespan,
     apply_hysteresis,
@@ -230,3 +232,130 @@ class TestMakespan:
         caps = waterfill_allocation(fleet, 1.0)
         span = allocation_makespan(fleet, caps)
         assert math.isfinite(span) and span > 0.0
+
+
+def greedy_waterfill(nodes, budget_w):
+    """The rescanning greedy water-fill, kept verbatim as an oracle.
+
+    Picks each bottleneck with a ``min()`` over every node, which makes
+    one allocation cost O(N^2 * G); :func:`waterfill_allocation` must
+    reproduce its raise sequence, and so its caps, exactly.
+    """
+    budget_w = check_budget_w(budget_w)
+    ordered = _sorted_nodes(nodes)
+    if not ordered:
+        return {}
+    caps = {n.node_id: 0.0 for n in ordered}
+    index = {n.node_id: 0 for n in ordered}
+    spent = 0.0
+    while True:
+        bottleneck = min(
+            ordered, key=lambda n: (-n.runtime_at(index[n.node_id]), n.node_id)
+        )
+        nid = bottleneck.node_id
+        nxt = index[nid] + 1
+        if nxt >= len(bottleneck.grid):
+            break  # the bottleneck already runs at its top clock
+        delta = bottleneck.power_w[nxt] - caps[nid]
+        if spent + delta > budget_w + _EPS:
+            break  # the one raise that could lower the makespan won't fit
+        caps[nid] = bottleneck.power_w[nxt]
+        index[nid] = nxt
+        spent += delta
+    for n in ordered:
+        nid = n.node_id
+        if caps[nid] == 0.0:
+            # A cap below the floor draw is equivalent to zero (the node
+            # is pinned at fmin either way), so admit the floor whole or
+            # not at all.
+            if spent + n.min_power > budget_w + _EPS:
+                continue
+            caps[nid] = n.min_power
+            spent += n.min_power
+        while index[nid] + 1 < len(n.grid):
+            nxt = index[nid] + 1
+            delta = n.power_w[nxt] - caps[nid]
+            if spent + delta > budget_w + _EPS:
+                break
+            caps[nid] = n.power_w[nxt]
+            index[nid] = nxt
+            spent += delta
+    return caps
+
+
+@st.composite
+def grid_models(draw, node_id, sensitivity=None):
+    """A node with its own grid: random steps, power with plateaus."""
+    size = draw(st.integers(1, 12))
+    steps = draw(st.lists(st.floats(0.05, 0.5), min_size=size, max_size=size))
+    grid, f = [], 0.6
+    for step in steps:
+        f += step
+        grid.append(f)
+    rises = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
+                          min_size=size, max_size=size))
+    power, p = [], draw(st.floats(4.0, 30.0))
+    for rise in rises:
+        p += rise
+        power.append(p)
+    if sensitivity is None:
+        sensitivity = draw(st.floats(0.0, 1.0))
+    return NodePowerModel(node_id, grid, power,
+                          work=draw(st.floats(0.1, 4.0)),
+                          sensitivity=sensitivity)
+
+
+@st.composite
+def oracle_fleets(draw):
+    """Mixed fleets: own-grid nodes, identical nodes, flat runtimes."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["mixed", "identical", "flat"]))
+    if kind == "identical":
+        # Every key ties on runtime, so node_id alone breaks the ties.
+        twin = draw(grid_models("n00"))
+        return [NodePowerModel(f"n{i:02d}", twin.grid, twin.power_w,
+                               work=twin.work, sensitivity=twin.sensitivity)
+                for i in range(n)]
+    sensitivity = 0.0 if kind == "flat" else None
+    return [draw(grid_models(f"n{i:02d}", sensitivity)) for i in range(n)]
+
+
+@st.composite
+def fleet_and_budget(draw):
+    fleet = draw(oracle_fleets())
+    floor = sum(m.min_power for m in fleet)
+    top = sum(m.max_power for m in fleet)
+    regime = draw(st.sampled_from(["below-floor", "between", "above-max"]))
+    if regime == "below-floor":
+        budget = floor * draw(st.floats(0.01, 0.999))
+    elif regime == "between":
+        budget = floor + (top - floor) * draw(st.floats(0.0, 1.0))
+    else:
+        budget = top * draw(st.floats(1.0, 2.0))
+    return fleet, budget
+
+
+class TestWaterfillMatchesGreedyOracle:
+    @given(fleet_and_budget())
+    @settings(max_examples=400, deadline=None)
+    def test_caps_equal_the_rescanning_greedy(self, case):
+        fleet, budget = case
+        assert waterfill_allocation(fleet, budget) == greedy_waterfill(
+            fleet, budget)
+
+    @given(fleets(), budgets)
+    @settings(max_examples=200, deadline=None)
+    def test_caps_equal_on_the_shared_grid(self, fleet, budget):
+        assert waterfill_allocation(fleet, budget) == greedy_waterfill(
+            fleet, budget)
+
+    def test_identical_nodes_fill_in_node_id_order(self):
+        fleet = [node(i) for i in range(4)]
+        # Not enough for every node's second threshold: every raise is
+        # a runtime tie, so the smaller node_id always wins it.
+        budget = 3.5 * fleet[0].power_w[1]
+        caps = waterfill_allocation(fleet, budget)
+        assert caps == greedy_waterfill(fleet, budget)
+        assert list(caps) == ["n00", "n01", "n02", "n03"]
+        assert list(caps.values()) == sorted(caps.values(), reverse=True)
+        assert caps["n00"] > caps["n03"]

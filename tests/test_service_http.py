@@ -1,5 +1,6 @@
 """HTTP API tests: routing, status codes, jobs, drain semantics."""
 
+import http.client
 import json
 import threading
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from repro.observability.metrics import get_registry as get_metrics_registry
 from repro.service.handlers import RequestHandlers
-from repro.service.http import ServiceConfig, TuningServer
+from repro.service.http import ServiceConfig, TuningServer, _Handler
 from repro.service.registry import ModelRegistry
 from repro.service.scheduler import Scheduler
 from tests.service_helpers import make_bundle
@@ -301,3 +302,60 @@ class TestDrain:
             assert server.drain(30.0)
         assert done.is_set()
         assert server.jobs.get(job.id).state == "succeeded"
+
+
+class _CountingWriter:
+    """Wraps a handler's wfile and logs the size of every write."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def write(self, data):
+        self._log.append(len(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestOneWritePerReply:
+    def test_kept_alive_replies_are_single_writes(self, monkeypatch):
+        writes = []
+        connections = []
+        real_setup = _Handler.setup
+
+        def counting_setup(handler):
+            real_setup(handler)
+            connections.append(handler)
+            handler.wfile = _CountingWriter(handler.wfile, writes)
+
+        monkeypatch.setattr(_Handler, "setup", counting_setup)
+        srv = TuningServer(ServiceConfig(port=0, workers=1, queue_size=4))
+        srv.registry.put("prod", make_bundle())
+        with srv:
+            host, port = srv.address
+            conn = http.client.HTTPConnection(host, port, timeout=10.0)
+            try:
+                replies = []
+                for method, path, body in (
+                    ("GET", "/healthz", None),
+                    ("GET", "/metrics", None),
+                    ("POST", "/v1/tune", {"model": "prod",
+                                          "arch": "broadwell",
+                                          "stage": "compress"}),
+                    ("GET", "/v1/nope", None),
+                ):
+                    payload = None if body is None else json.dumps(body)
+                    conn.request(method, path, body=payload)
+                    resp = conn.getresponse()
+                    data = resp.read()
+                    replies.append((resp.status, len(data)))
+            finally:
+                conn.close()
+        assert [status for status, _ in replies] == [200, 200, 200, 404]
+        # One connection carried every request, one write per reply,
+        # and each write holds the whole body.
+        assert len(connections) == 1
+        assert len(writes) == len(replies)
+        assert all(w > n for w, (_, n) in zip(writes, replies))
