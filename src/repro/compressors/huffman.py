@@ -6,9 +6,11 @@ millions of elements, so a per-symbol Python loop is not an option
 loops — canonical code assignment, table-driven bit emission, and
 prefix-table chain decoding — live in
 :mod:`repro.compressors.kernels`, where the default ``vector`` backend
-flattens a masked bit matrix on encode and pointer-doubles a 2^L
-lookup-table jump chain on decode; ``REPRO_KERNELS=scalar`` swaps in
-the byte-identical pure-Python reference loops.
+flattens a masked bit matrix on encode and follows the 2^L
+lookup-table code chain with one speculative segment walk
+(:func:`repro.utils.chains.walk_chain`) on decode;
+``REPRO_KERNELS=scalar`` swaps in the byte-identical pure-Python
+reference loops.
 
 Codes are canonical (assigned in (length, symbol) order), so only the
 symbol table and code lengths need to be serialized.

@@ -9,8 +9,8 @@ backends that produce **byte-identical** streams:
 ``vector`` (default)
     NumPy table-driven implementations: canonical code assignment via
     ``bincount``/``cumsum``, bit emission through masked bit-matrix
-    flattening, decode through :func:`repro.utils.chains.follow_chain`
-    pointer doubling, plane coding through broadcast shifts.
+    flattening, decode through one :func:`repro.utils.chains.walk_chain`
+    speculative segment walk, plane coding through broadcast shifts.
 ``scalar``
     Pure-Python per-symbol / per-bit reference loops. Orders of
     magnitude slower; kept as the readable specification the
@@ -261,8 +261,8 @@ def zfp_decode_plane_group(
 ) -> Tuple[np.ndarray, int]:
     """Parse *nchunks* flag/payload chunks from a plane-group bit stream.
 
-    Returns ``(plane_vals, consumed)`` where ``plane_vals`` is the
-    ``(nchunks, block_size)`` uint64 payload matrix (zero rows for
+    Returns ``(planes, consumed)`` where ``planes`` is the
+    ``(nchunks, block_size)`` uint8 0/1 payload matrix (zero rows for
     unset flags) and ``consumed`` the number of bits the chunks cover.
     Raises ``ValueError`` when the chunk chain escapes the stream.
     """

@@ -20,14 +20,12 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.utils.chains import CORRUPT_CHAIN
+
 name = "scalar"
 
 _U64 = (1 << 64) - 1
 _NB_MASK = 0xAAAAAAAAAAAAAAAA
-
-#: Error message shared with :func:`repro.utils.chains.follow_chain` so
-#: corrupt streams fail identically under either backend.
-_ESCAPE_MSG = "jump chain escaped the stream: corrupt input"
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +104,7 @@ def huffman_decode_symbols(
     pos = 0
     for _ in range(count):
         if pos >= nbits:
-            raise ValueError(_ESCAPE_MSG)
+            raise ValueError(CORRUPT_CHAIN)
         window = 0
         for j in range(max_len):
             window = (window << 1) | stream[pos + j]
@@ -187,11 +185,11 @@ def zfp_decode_plane_group(
     """Cursor walk over flag/payload chunks, one chunk per iteration."""
     stream = bits.tolist()
     nbits = len(stream)
-    plane_vals = np.zeros((nchunks, block_size), dtype=np.uint64)
+    plane_vals = np.zeros((nchunks, block_size), dtype=np.uint8)
     pos = 0
     for chunk in range(nchunks):
         if pos >= nbits:
-            raise ValueError(_ESCAPE_MSG)
+            raise ValueError(CORRUPT_CHAIN)
         flag = stream[pos]
         pos += 1
         if flag:

@@ -5,7 +5,10 @@ Every function here is the NumPy counterpart of a loop in
 bytes**; the differential suite and the CI ``kernel-equivalence``
 matrix enforce that. No O(n) Python loop is allowed on any path in
 this module — loops below are O(max_code_length) ≤ 32 rounds or
-O(distinct plane counts), never per element.
+O(distinct plane counts), never per element. The two decode kernels
+follow their sequential code/chunk chains with
+:func:`repro.utils.chains.walk_chain`, whose lockstep rounds number
+about the steps in one 64-step segment, not the stream length.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.utils.chains import follow_chain
+from repro.utils.chains import walk_chain
 
 name = "vector"
 
@@ -86,21 +89,30 @@ def huffman_decode_symbols(
     count: int,
     max_len: int,
 ) -> np.ndarray:
-    """Prefix-table decode via pointer doubling.
+    """Prefix-table decode over one exact chain walk.
 
-    ``w[i]`` is the integer value of the ``max_len``-bit window starting
-    at bit *i*; the code chain ``i -> i + dec_length[w[i]]`` is walked
-    with O(log n) bulk gathers.
+    The ``max_len``-bit window at bit *p* is cut from the 40-bit
+    big-endian word at byte ``p >> 3`` of the packed stream, so windows
+    are computed only at positions the walker visits; the code chain
+    ``p -> p + dec_length[window(p)]`` goes through :func:`walk_chain`.
     """
     nbits = bits.size
-    padded = np.concatenate([bits, np.zeros(max_len, dtype=np.uint8)])
-    w = np.zeros(nbits, dtype=np.int64)
-    for j in range(max_len):
-        w |= padded[j : j + nbits].astype(np.int64) << (max_len - 1 - j)
-    lengths_at = dec_length[w]
-    jumps = np.arange(nbits, dtype=np.int64) + lengths_at
-    chain = follow_chain(jumps, 0, count)
-    return dec_symbol[w[chain]]
+    packed = np.zeros(-(-nbits // 8) + 4, dtype=np.int64)
+    packed[:-4] = np.packbits(bits)
+    words = (
+        packed[:-4] << 32
+        | packed[1:-3] << 24
+        | packed[2:-2] << 16
+        | packed[3:-1] << 8
+        | packed[4:]
+    )
+    mask = (1 << max_len) - 1
+
+    def window(p: np.ndarray) -> np.ndarray:
+        return (words[p >> 3] >> (40 - max_len - (p & 7))) & mask
+
+    chain = walk_chain(lambda p: p + dec_length[window(p)], nbits, count, max_len)
+    return dec_symbol[window(chain)]
 
 
 # ----------------------------------------------------------------------
@@ -150,22 +162,26 @@ def zfp_decode_plane_group(
     bits: np.ndarray, nchunks: int, block_size: int
 ) -> Tuple[np.ndarray, int]:
     """Walk the chunk chain (1 or ``1 + block_size`` bits each) with
-    pointer doubling, then gather every flagged payload in one shot."""
+    :func:`walk_chain`; the chunks tile the stream, so every bit off
+    the chain is payload and one boolean mask takes them all."""
     nbits = bits.size
-    jumps = np.arange(nbits, dtype=np.int64) + 1 + bits.astype(np.int64) * block_size
-    chain = follow_chain(jumps, 0, nchunks)
+    width = np.array([1, 1 + block_size], dtype=np.int64)
+    chain = walk_chain(lambda p: p + width[bits[p]], nbits, nchunks, 1 + block_size)
     flags = bits[chain].astype(bool)
-    consumed = int(chain[-1]) + 1 + (block_size if flags[-1] else 0)
+    consumed = 0
+    if nchunks:
+        consumed = int(chain[-1]) + 1 + (block_size if flags[-1] else 0)
     if consumed != nbits:
         raise ValueError(
             f"plane group length mismatch: consumed {consumed} of {nbits} bits"
         )
-    plane_vals = np.zeros((nchunks, block_size), dtype=np.uint64)
-    flagged = np.flatnonzero(flags)
-    if flagged.size:
-        offsets = chain[flagged][:, None] + 1 + np.arange(block_size)[None, :]
-        plane_vals[flagged] = bits[offsets].astype(np.uint64)
-    return plane_vals, consumed
+    payload = np.ones(nbits, dtype=bool)
+    payload[chain] = False
+    # One block_size-byte item per row, so the masked copy moves rows.
+    row = np.dtype((np.void, block_size))
+    planes = np.zeros((nchunks, block_size), dtype=np.uint8)
+    planes.view(row)[flags[:, None]] = bits[payload].view(row)
+    return planes, consumed
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ followed by the plane's ``block_size`` raw bits only when the flag is
 set — ZFP's group-testing idea reduced to plane granularity. The
 per-bit inner loops live in :mod:`repro.compressors.kernels`: the
 default ``vector`` backend encodes through a masked bit-matrix flatten
-and decodes through a :func:`~repro.utils.chains.follow_chain` jump
+and decodes through a :func:`~repro.utils.chains.walk_chain` chunk
 chain (a chunk is 1 or ``1 + block_size`` bits), while
 ``REPRO_KERNELS=scalar`` swaps in the byte-identical reference loops.
 """
@@ -115,10 +115,13 @@ def decode_planes(
         if nchunks:
             if nbits == 0:
                 raise ValueError("empty plane group with pending chunks")
-            plane_vals, _ = kernels.zfp_decode_plane_group(bits, nchunks, block_size)
-            planes = np.arange(top_plane, top_plane - kv, -1, dtype=np.int64)
-            shifts = planes.astype(np.uint64)  # (kv,)
-            vals = plane_vals.reshape(sel.size, kv, block_size)
-            contrib = vals << shifts[None, :, None]
-            nb[sel] = contrib.sum(axis=1, dtype=np.uint64)
+            planes, _ = kernels.zfp_decode_plane_group(bits, nchunks, block_size)
+            # Each coefficient's kept plane bits, most significant first,
+            # go to their places in a 64-bit row (plane p is bit 63 - p);
+            # np.packbits turns the rows into big-endian uint64 words.
+            rows = np.zeros((sel.size, block_size, 64), dtype=np.uint8)
+            rows[:, :, 63 - top_plane : 63 - top_plane + kv] = planes.reshape(
+                sel.size, kv, block_size
+            ).transpose(0, 2, 1)
+            nb[sel] = np.packbits(rows, axis=-1).view(">u8")[:, :, 0]
     return nb

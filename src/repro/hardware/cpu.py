@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
@@ -71,14 +72,10 @@ class CpuSpec:
 
         Mirrors the paper's sweep: ``fmin, fmin+step, ..., fmax`` (the
         base clock is always included even when the span is not an
-        exact multiple of the step).
+        exact multiple of the step). Built once per (fmin, fmax, step)
+        and shared, so the array is read-only.
         """
-        n = int(round((self.fmax_ghz - self.fmin_ghz) / self.step_ghz))
-        grid = self.fmin_ghz + self.step_ghz * np.arange(n + 1)
-        grid = grid[grid <= self.fmax_ghz + 1e-9]
-        if abs(grid[-1] - self.fmax_ghz) > 1e-9:
-            grid = np.append(grid, self.fmax_ghz)
-        return np.round(grid, 6)
+        return _dvfs_grid(self.fmin_ghz, self.fmax_ghz, self.step_ghz)
 
     def snap_frequency(self, freq_ghz: float) -> float:
         """Closest grid frequency; raises if outside the DVFS range."""
@@ -94,6 +91,18 @@ class CpuSpec:
     def frequency_span(self) -> float:
         """fmax - fmin in GHz."""
         return self.fmax_ghz - self.fmin_ghz
+
+
+@lru_cache(maxsize=256)
+def _dvfs_grid(fmin_ghz: float, fmax_ghz: float, step_ghz: float) -> np.ndarray:
+    n = int(round((fmax_ghz - fmin_ghz) / step_ghz))
+    grid = fmin_ghz + step_ghz * np.arange(n + 1)
+    grid = grid[grid <= fmax_ghz + 1e-9]
+    if abs(grid[-1] - fmax_ghz) > 1e-9:
+        grid = np.append(grid, fmax_ghz)
+    grid = np.round(grid, 6)
+    grid.flags.writeable = False
+    return grid
 
 
 BROADWELL_D1548 = CpuSpec(

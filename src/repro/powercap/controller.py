@@ -81,6 +81,10 @@ _CODEC_KIND: Dict[str, WorkloadKind] = {
 _EPS = 1e-9
 
 
+def _canonical_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _phase_name(phase) -> str:
     name = str(getattr(phase, "value", phase))
     if name not in POWERCAP_PHASES:
@@ -270,6 +274,9 @@ class ClusterCapController:
         self._epoch = 0
         self._last_makespan = 0.0
         self.trace: List[dict] = []
+        # Running sha256 of trace_json(): "[" then each entry's canonical
+        # JSON as it is appended, comma-separated; report() closes a copy.
+        self._trace_hash = hashlib.sha256(b"[")
         self._unsubscribe = None
         if telemetry is not None:
             self._unsubscribe = telemetry.subscribe(self._on_sample)
@@ -472,7 +479,7 @@ class ClusterCapController:
         self._caps = caps
         self._epoch += 1
         self._last_makespan = makespan
-        self.trace.append(
+        self._append_trace(
             {
                 "epoch": self._epoch,
                 "event": event,
@@ -509,17 +516,23 @@ class ClusterCapController:
 
     # -- receipts --------------------------------------------------------
 
+    def _append_trace(self, entry: dict) -> None:
+        if self.trace:
+            self._trace_hash.update(b",")
+        self._trace_hash.update(_canonical_json(entry).encode())
+        self.trace.append(entry)
+
     def trace_json(self) -> str:
         """Canonical JSON of the decision trace (the hashed bytes)."""
         with self._lock:
-            return json.dumps(
-                self.trace, sort_keys=True, separators=(",", ":")
-            )
+            return _canonical_json(self.trace)
 
     def report(self) -> PowercapReport:
         """Seal the run: current caps plus the sha256 trace receipt."""
         with self._lock:
-            digest = hashlib.sha256(self.trace_json().encode()).hexdigest()
+            sealed = self._trace_hash.copy()
+            sealed.update(b"]")
+            digest = sealed.hexdigest()
             return PowercapReport(
                 policy=self.policy,
                 budget_w=self.budget_w,

@@ -53,6 +53,17 @@ class TestFrequencyGrid:
         grid = cpu.available_frequencies()
         assert grid[-1] == pytest.approx(2.03)
 
+    def test_grid_built_once_and_read_only(self):
+        grid = BROADWELL_D1548.available_frequencies()
+        assert BROADWELL_D1548.available_frequencies() is grid
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 1.0
+        # Equal specs share the grid; the spec itself carries no cache,
+        # so cache fingerprints (declared fields only) are unchanged.
+        twin = CpuSpec("y", "skylake", "t", 0.8, 2.0, 0.05, 85, 10)
+        assert twin.available_frequencies() is grid
+        assert "grid" not in " ".join(vars(BROADWELL_D1548))
+
 
 class TestSnap:
     def test_snap_to_nearest(self):

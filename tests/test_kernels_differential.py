@@ -272,6 +272,14 @@ class TestZFPKernels:
                 decoded["scalar"][key], decoded["vector"][key]
             )
 
+    def test_zero_chunks_identical(self):
+        for bits in (np.zeros(0, dtype=np.uint8), np.array([1, 0, 1], np.uint8)):
+            got = {}
+            for backend in BACKENDS:
+                with kernels.use_backend(backend):
+                    got[backend] = outcome(kernels.zfp_decode_plane_group, bits, 0, 4)
+            assert got["scalar"] == got["vector"], bits.size
+
     def test_plane_group_corruption_raises_in_both(self):
         rows = np.array([[3, 0, 5, 1]], dtype=np.uint64)
         planes = np.array([2, 1, 0], dtype=np.int64)
@@ -284,6 +292,130 @@ class TestZFPKernels:
                     kernels.zfp_decode_plane_group(
                         np.concatenate([bits, bits[:3]]), planes.size, 4
                     )
+
+
+def outcome(fn, *args):
+    """A call's result bytes, or the type and message of what it raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # compared across backends, never swallowed
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return tuple(np.asarray(r).tobytes() for r in result)
+    return result.tobytes()
+
+
+def walker_segments(nbits, count, max_jump):
+    """Segments the vector backend's chain walk splits a stream into
+    (``max(max_jump, 64 * nbits // count)`` bits each)."""
+    return -(-nbits // max(max_jump, 64 * nbits // count))
+
+
+def huffman_stream(codec, symbols):
+    writer = BitWriter()
+    nbits = codec.encode_to(writer, symbols)
+    return BitReader(writer.getvalue()).read_bits_array(nbits)
+
+
+class TestMultiSegmentDecode:
+    """Decode streams long enough that the vector backend's chain walk
+    splits them into many segments, including streams whose segment
+    starts never fall on a code or chunk boundary."""
+
+    def test_huffman_stream_identical_and_roundtrips(self):
+        rng = np.random.default_rng(11)
+        sym = rng.geometric(0.3, size=20_000) - rng.geometric(0.3, size=20_000)
+        codec = HuffmanCodec.from_data(sym)
+        bits = huffman_stream(codec, sym)
+        assert walker_segments(bits.size, sym.size, codec.max_code_length) >= 100
+        decoded = both_backends(codec.decode, bits, sym.size)
+        assert_identical(decoded)
+        np.testing.assert_array_equal(decoded["vector"], sym)
+
+    def test_huffman_stream_that_never_resynchronises(self):
+        # Codes 0, 10, 110, 111: after "0" only "111" follows, so a
+        # segment start off the chain's residue mod 3 never lands on it.
+        codec = HuffmanCodec([5, 6, 7, 8], [1, 2, 3, 3])
+        sym = np.array([5] + [8] * 5_000, dtype=np.int64)
+        bits = huffman_stream(codec, sym)
+        assert bits[0] == 0 and bits[1:].all()
+        assert walker_segments(bits.size, sym.size, 3) >= 8
+        decoded = both_backends(codec.decode, bits, sym.size)
+        assert_identical(decoded)
+        np.testing.assert_array_equal(decoded["vector"], sym)
+
+    @pytest.mark.parametrize("block_size", [4, 16, 64])
+    def test_zfp_plane_group_that_never_resynchronises(self, block_size):
+        # Block 0's top plane is empty; every other plane is all ones, so
+        # one unflagged chunk is followed only by all-ones flagged chunks.
+        top = 7
+        rows = np.full((300, block_size), (1 << (top + 1)) - 1, dtype=np.uint64)
+        rows[0] = (1 << top) - 1
+        planes = np.arange(top, -1, -1, dtype=np.int64)
+        bits = kernels.zfp_encode_plane_group(rows, planes)
+        assert bits[0] == 0 and bits[1:].all()
+        nchunks = rows.shape[0] * planes.size
+        assert walker_segments(bits.size, nchunks, 1 + block_size) >= 8
+        decoded = both_backends(
+            kernels.zfp_decode_plane_group, bits, nchunks, block_size
+        )
+        for key in (0, 1):
+            np.testing.assert_array_equal(
+                decoded["scalar"][key], decoded["vector"][key]
+            )
+        got = decoded["vector"][0].reshape(rows.shape[0], planes.size, block_size)
+        expected = (rows[:, None, :] >> planes.astype(np.uint64)[None, :, None]) & 1
+        np.testing.assert_array_equal(got, expected)
+
+    def test_zfp_random_plane_group_identical(self):
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 1 << 10, size=(2_000, 16))
+        rows = (values >> rng.integers(0, 10, size=(2_000, 1))).astype(np.uint64)
+        planes = np.arange(9, -1, -1, dtype=np.int64)
+        bits = kernels.zfp_encode_plane_group(rows, planes)
+        nchunks = rows.shape[0] * planes.size
+        assert walker_segments(bits.size, nchunks, 17) >= 100
+        decoded = both_backends(kernels.zfp_decode_plane_group, bits, nchunks, 16)
+        for key in (0, 1):
+            np.testing.assert_array_equal(
+                decoded["scalar"][key], decoded["vector"][key]
+            )
+
+    def test_truncated_huffman_stream_fails_identically(self):
+        rng = np.random.default_rng(3)
+        sym = rng.choice(5, p=[0.5, 0.2, 0.15, 0.1, 0.05], size=520)
+        codec = HuffmanCodec.from_data(sym)
+        bits = huffman_stream(codec, sym)
+        assert 900 <= bits.size <= 1_100
+        assert walker_segments(bits.size, sym.size, codec.max_code_length) >= 4
+        for cut in range(bits.size + 1):
+            got = {}
+            for backend in BACKENDS:
+                with kernels.use_backend(backend):
+                    got[backend] = outcome(codec.decode, bits[:cut], sym.size)
+            assert got["scalar"] == got["vector"], cut
+        # The last cut is the whole stream.
+        assert got["vector"] == sym.astype(np.int64).tobytes()
+
+    def test_truncated_zfp_plane_group_fails_identically(self):
+        rng = np.random.default_rng(4)
+        values = rng.integers(0, 1 << 6, size=(46, 4))
+        rows = (values >> rng.integers(0, 6, size=(46, 1))).astype(np.uint64)
+        planes = np.arange(7, -1, -1, dtype=np.int64)
+        bits = kernels.zfp_encode_plane_group(rows, planes)
+        nchunks = rows.shape[0] * planes.size
+        assert 900 <= bits.size <= 1_100
+        assert walker_segments(bits.size, nchunks, 5) >= 4
+        for cut in range(bits.size + 1):
+            got = {}
+            for backend in BACKENDS:
+                with kernels.use_backend(backend):
+                    got[backend] = outcome(
+                        kernels.zfp_decode_plane_group, bits[:cut], nchunks, 4
+                    )
+            assert got["scalar"] == got["vector"], cut
+            if cut < bits.size:
+                assert isinstance(got["vector"][0], type), cut
 
 
 class TestSZKernels:

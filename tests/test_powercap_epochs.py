@@ -9,6 +9,8 @@ built straight into the same state does, and count — without timing
 anything — the models and bisections one fleet build costs.
 """
 
+import hashlib
+
 import pytest
 
 import repro.powercap.controller as controller_mod
@@ -212,6 +214,39 @@ class TestCacheInvalidation:
         live = check_sequence(policy, warmed([("phase", p) for p in flips]))
         phases = [entry["phase"] for entry in live.trace[6:]]
         assert phases == ["write", "idle", "compress"] + flips
+
+
+@pytest.mark.parametrize("policy", ALLOCATION_POLICIES)
+def test_running_receipt_matches_the_trace_after_every_epoch(policy):
+    live = ClusterCapController(BUDGET_W, policy=policy, hysteresis=0.0)
+
+    def check():
+        expected = hashlib.sha256(live.trace_json().encode()).hexdigest()
+        assert live.report().trace_sha256 == expected, live.epoch
+
+    check()  # no epoch yet: the receipt of "[]"
+    churn = warmed([
+        ("leave", "n1"),
+        ("join", "n1", HOT, 2.0),
+        ("join", "n4", COOL, 0.5),
+        ("phase", "write"),
+        ("leave", "n0"),
+        ("request",),
+        ("phase", "compress"),
+    ])
+    for op, *args in churn:
+        if op == "join":
+            node_id, curve, work = args
+            live.join(node_id, CPU, curve, work=work)
+        elif op == "leave":
+            live.leave(args[0])
+        elif op == "phase":
+            live.begin_phase(args[0])
+        else:
+            live.reallocate()
+        check()
+    # Every event but n4's re-announcement runs an epoch.
+    assert live.epoch == len(churn) - 1
 
 
 # -- work per epoch ----------------------------------------------------
