@@ -4,10 +4,19 @@
 Times each codec kernel (Huffman encode/decode, bit packing, ZFP plane
 encode/decode, negabinary map, SZ quantize/reconstruct) in isolation on
 deterministic synthetic workloads and reports throughput in MB/s of
-*uncompressed element payload*. Like ``quick_bench.py``, wall times are
-normalized by a fixed calibration kernel so a committed baseline
-transfers across runners of different speeds: the gated quantity is
-``kernel seconds / calibration seconds``.
+*uncompressed element payload*. Wall times are normalized by a
+calibration pass so a committed baseline transfers across runners of
+different speeds: the gated quantity is ``kernel seconds / calibration
+seconds``. Calibration is interleaved with the kernel's repeats: each
+kernel timing sits between two calibration timings and is divided by
+the faster of them, so a machine that slows down mid-run slows both
+sides of a ratio alike, and the gate takes the median of those ratios.
+Rounds cycle through every kernel, so each one is sampled across the
+whole run. The
+calibration matches the kernel's kind: compute-bound kernels use the
+``quick_bench`` kernel (a sort plus a Python loop, which stays in
+cache), and the bandwidth-bound ones (``BANDWIDTH_BOUND``) a streaming
+pass that allocates and writes arrays of their own payload size.
 
 CI usage (the ``kernels`` job in ``.github/workflows/ci.yml``)::
 
@@ -40,9 +49,16 @@ from repro.compressors.huffman import HuffmanCodec
 #: to compare a scalar run against a vector baseline (and vice versa).
 GATED_KEYS = ("norm",)
 
+#: Kernels whose time is set by memory traffic and allocation rather
+#: than by instruction count.
+BANDWIDTH_BOUND = frozenset({
+    "pack_bits", "unpack_bits", "negabinary_encode", "negabinary_decode",
+    "sz_quantize", "sz_reconstruct",
+})
 
-def calibration_seconds(repeats: int = 5) -> float:
-    """Best-of-N timing of the same fixed numpy kernel quick_bench uses.
+
+def compute_calibration():
+    """The fixed numpy kernel ``quick_bench`` calibrates with.
 
     Kept in lockstep with ``quick_bench.calibration_seconds`` (mixed
     elementwise math, a sort, a Python-level loop; deliberately no
@@ -50,16 +66,23 @@ def calibration_seconds(repeats: int = 5) -> float:
     """
     rng = np.random.default_rng(0)
     a = rng.normal(size=(448, 448))
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
+
+    def run():
         b = np.sort(np.abs(a), axis=1)
         float(np.log1p(b).sum())
         acc = 0.0
         for v in b[0].tolist() * 8:
             acc += v * 0.5
-        best = min(best, time.perf_counter() - t0)
-    return best
+
+    return run
+
+
+def bandwidth_calibration(nbytes: int):
+    """A streaming pass over *nbytes* of float64 that reads the input
+    once and allocates and writes two arrays of the same size, the
+    access pattern of the bandwidth-bound kernels at their own size."""
+    src = np.random.default_rng(1).normal(size=max(1, nbytes // 8))
+    return lambda: src * 0.5 + 1.0
 
 
 # ----------------------------------------------------------------------
@@ -99,13 +122,53 @@ def sz_workload(n: int, seed: int = 13) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
+#: Shortest span one timing covers; faster kernels and calibrations are
+#: called that many times in a row.
+MIN_SPAN_S = 0.005
+
+
+def _timer(fn):
+    """A function timing *fn* per call over enough calls to span
+    ``MIN_SPAN_S``."""
+    t0 = time.perf_counter()
+    fn()
+    calls = max(1, int(MIN_SPAN_S / max(time.perf_counter() - t0, 1e-9)))
+
+    def timed() -> float:
         t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        for _ in range(calls):
+            fn()
+        return (time.perf_counter() - t0) / calls
+
+    return timed
+
+
+def interleaved_timings(cases, repeats: int):
+    """``{name: (best kernel s, best calibration s, median ratio)}``.
+
+    Each round times every kernel between two timings of its
+    calibration and divides it by the faster of them, so one slowed
+    calibration cannot flatter the ratio; rounds cycle through all the
+    kernels, so each kernel's samples spread over the whole run rather
+    than one stretch of it. The median of the ratios is gated: the best
+    one is a single lucky pair, which moves far more from run to run.
+    """
+    timers = [(name, _timer(fn), _timer(calibrate)) for name, fn, calibrate in cases]
+    samples = {name: [] for name, _, _ in timers}
+    for _ in range(repeats):
+        for name, kernel, calibration in timers:
+            before = calibration()
+            seconds = kernel()
+            after = calibration()
+            samples[name].append((seconds, min(before, after)))
+    return {
+        name: (
+            min(k for k, _ in pairs),
+            min(c for _, c in pairs),
+            float(np.median([k / c for k, c in pairs])),
+        )
+        for name, pairs in samples.items()
+    }
 
 
 def build_cases(scale: float):
@@ -119,7 +182,8 @@ def build_cases(scale: float):
     idx = np.searchsorted(codec.alphabet, sym)
     enc_codes = codec._enc_codes[idx]
     enc_lens = codec._enc_lengths[idx]
-    bits = kernels.huffman_encode_bits(enc_codes, enc_lens, codec.max_code_length)
+    packed = kernels.huffman_encode_bits(enc_codes, enc_lens)
+    bits = kernels.unpack_bits(packed)[: int(enc_lens.sum())]
 
     rows, planes, block_size = zfp_workload(n_blocks)
     group_bits = kernels.zfp_encode_plane_group(rows, planes)
@@ -131,12 +195,9 @@ def build_cases(scale: float):
     origin = float(field.min())
     indices = kernels.sz_quantize(field, origin, bin_width)
 
-    packed = kernels.pack_bits(bits)
-
     return [
         ("huffman_encode", sym.nbytes,
-         lambda: kernels.huffman_encode_bits(
-             enc_codes, enc_lens, codec.max_code_length)),
+         lambda: kernels.huffman_encode_bits(enc_codes, enc_lens)),
         ("huffman_decode", sym.nbytes,
          lambda: kernels.huffman_decode_symbols(
              bits, codec._dec_symbol, codec._dec_length,
@@ -189,8 +250,8 @@ def main(argv=None) -> int:
     ap.add_argument("--scale", type=float, default=None,
                     help="workload scale factor (default 1.0 vector, "
                          "0.02 scalar)")
-    ap.add_argument("--repeats", type=int, default=5,
-                    help="best-of-N timing repeats")
+    ap.add_argument("--repeats", type=int, default=15,
+                    help="rounds; each times every kernel once")
     ap.add_argument("--output", default="BENCH_kernels.json",
                     help="write the JSON report here")
     ap.add_argument("--baseline", default=None,
@@ -204,27 +265,37 @@ def main(argv=None) -> int:
     if scale is None:
         scale = 1.0 if backend == "vector" else 0.02
 
-    calib = calibration_seconds(args.repeats)
     report = {"backend": backend, "scale": scale, "kernels": {}}
+    compute = compute_calibration()
     with kernels.use_backend(backend):
+        print(f"backend={backend} scale={scale}")
         cases = build_cases(scale)
-        print(f"backend={backend} scale={scale} "
-              f"calibration kernel: {calib * 1e3:.2f} ms")
-        for name, nbytes, fn in cases:
-            seconds = _best_of(fn, args.repeats)
-            report["kernels"][name] = {
-                "seconds": seconds,
-                "mbytes": nbytes / 1e6,
-                "mb_per_s": (nbytes / 1e6) / seconds,
-                "norm": seconds / calib,
-            }
-    calib = min(calib, calibration_seconds(args.repeats))
-    report["calibration_s"] = calib
-    for name, res in report["kernels"].items():
-        res["norm"] = res["seconds"] / calib
-        res["mb_per_s"] = res["mbytes"] / res["seconds"]
-        print(f"{name:18s} {res['seconds'] * 1e3:9.2f} ms  "
-              f"{res['mb_per_s']:9.1f} MB/s  norm {res['norm']:8.3f}")
+        kinds = {
+            name: "bandwidth" if name in BANDWIDTH_BOUND else "compute"
+            for name, _, _ in cases
+        }
+        timings = interleaved_timings(
+            [
+                (name, fn, bandwidth_calibration(nbytes)
+                 if kinds[name] == "bandwidth" else compute)
+                for name, nbytes, fn in cases
+            ],
+            args.repeats,
+        )
+    for name, nbytes, _ in cases:
+        seconds, calib, norm = timings[name]
+        report["kernels"][name] = {
+            "seconds": seconds,
+            "mbytes": nbytes / 1e6,
+            "mb_per_s": (nbytes / 1e6) / seconds,
+            "calibration": kinds[name],
+            "calibration_s": calib,
+            "norm": norm,
+        }
+        print(f"{name:18s} {seconds * 1e3:9.2f} ms  "
+              f"{nbytes / 1e6 / seconds:9.1f} MB/s  "
+              f"{kinds[name]:9s} calibration {calib * 1e3:7.2f} ms  "
+              f"norm {norm:8.3f}")
 
     if args.output:
         with open(args.output, "w") as fh:

@@ -3,14 +3,13 @@
 SZ's entropy stage Huffman-codes quantization codes for arrays with
 millions of elements, so a per-symbol Python loop is not an option
 (guides: no per-element Python loops on hot paths). The bit-level inner
-loops — canonical code assignment, table-driven bit emission, and
-prefix-table chain decoding — live in
-:mod:`repro.compressors.kernels`, where the default ``vector`` backend
-flattens a masked bit matrix on encode and follows the 2^L
-lookup-table code chain with one speculative segment walk
-(:func:`repro.utils.chains.walk_chain`) on decode;
-``REPRO_KERNELS=scalar`` swaps in the byte-identical pure-Python
-reference loops.
+loops — canonical code assignment, code packing, and prefix-table
+chain decoding — live in :mod:`repro.compressors.kernels`, where the
+default ``vector`` backend ORs the codes that fall in each 64-bit word
+together on encode and follows the 2^L lookup-table code chain with one
+speculative segment walk (:func:`repro.utils.chains.walk_chain`) on
+decode; ``REPRO_KERNELS=scalar`` swaps in the byte-identical
+pure-Python reference loops.
 
 Codes are canonical (assigned in (length, symbol) order), so only the
 symbol table and code lengths need to be serialized.
@@ -49,7 +48,7 @@ def build_code_lengths(
     """
     if not frequencies:
         raise ValueError("frequency table must be non-empty")
-    if any(f <= 0 for f in frequencies.values()):
+    if min(frequencies.values()) <= 0:
         raise ValueError("frequencies must be positive")
     nsym = len(frequencies)
     if nsym > (1 << max_code_length):
@@ -60,47 +59,46 @@ def build_code_lengths(
         return {next(iter(frequencies)): 1}
 
     symbols = sorted(frequencies)
-    freqs = [frequencies[s] for s in symbols]
+    freqs = np.array([frequencies[s] for s in symbols], dtype=np.int64)
+    nmerge = nsym - 1
     while True:
         # Leaves in (freq, symbol) order — the heap's pop order for
         # leaves, since its tiebreak counter was the symbol rank.
-        order = np.argsort(np.asarray(freqs, dtype=np.int64), kind="stable")
-        leaf_freqs = [freqs[i] for i in order.tolist()]
-        # Nodes: 0..nsym-1 = leaves (in pop order), nsym.. = merges.
-        parent = [0] * (2 * nsym - 1)
-        merged_freqs: list[int] = []
-        ai = 0  # leaf queue head
-        bi = 0  # merged queue head
-        for node in range(nsym, 2 * nsym - 1):
-            pair = []
-            for _ in range(2):
-                # Tie prefers the leaf: its heap counter (symbol rank)
-                # is always below any merged node's insertion counter.
-                if ai < nsym and (
-                    bi >= len(merged_freqs) or leaf_freqs[ai] <= merged_freqs[bi]
-                ):
-                    pair.append(ai)
-                    ai += 1
-                else:
-                    pair.append(nsym + bi)
-                    bi += 1
-            parent[pair[0]] = node
-            parent[pair[1]] = node
-            f0 = leaf_freqs[pair[0]] if pair[0] < nsym else merged_freqs[pair[0] - nsym]
-            f1 = leaf_freqs[pair[1]] if pair[1] < nsym else merged_freqs[pair[1] - nsym]
-            merged_freqs.append(f0 + f1)
-        # Parents are created after their children, so a single
-        # descending sweep resolves every depth.
-        depth = [0] * (2 * nsym - 1)
-        for node in range(2 * nsym - 3, -1, -1):
-            depth[node] = depth[parent[node]] + 1
-        lengths = {
-            symbols[sym_idx]: depth[leaf_pos]
-            for leaf_pos, sym_idx in enumerate(order.tolist())
-        }
-        if max(lengths.values()) <= max_code_length:
-            return lengths
-        freqs = [max(1, f // 2) for f in freqs]
+        order = np.argsort(freqs, kind="stable")
+        leaf = freqs[order].tolist()
+        # Nodes: 0..nsym-1 = leaves (in pop order), nsym.. = merges. A
+        # tie prefers the leaf: its heap counter (symbol rank) is always
+        # below any merged node's insertion counter.
+        parent = [0] * (nsym + nmerge)
+        merged = [0] * nmerge
+        ai = bi = 0  # leaf / merged queue heads
+        for m in range(nmerge):
+            if ai < nsym and (bi >= m or leaf[ai] <= merged[bi]):
+                first, f0 = ai, leaf[ai]
+                ai += 1
+            else:
+                first, f0 = nsym + bi, merged[bi]
+                bi += 1
+            if ai < nsym and (bi >= m or leaf[ai] <= merged[bi]):
+                second, f1 = ai, leaf[ai]
+                ai += 1
+            else:
+                second, f1 = nsym + bi, merged[bi]
+                bi += 1
+            parent[first] = parent[second] = m
+            merged[m] = f0 + f1
+        # Merges are created after their children, so one descending
+        # sweep gives every merge's depth (the root, last, has 0); a
+        # leaf sits one below its parent merge.
+        depth = [0] * nmerge
+        for m in range(nmerge - 2, -1, -1):
+            depth[m] = depth[parent[nsym + m]] + 1
+        leaf_depth = np.asarray(depth)[parent[:nsym]] + 1
+        if leaf_depth.max() <= max_code_length:
+            lengths = np.empty(nsym, dtype=np.int64)
+            lengths[order] = leaf_depth
+            return dict(zip(symbols, lengths.tolist()))
+        freqs = np.maximum(freqs // 2, 1)
 
 
 class HuffmanCodec:
@@ -177,7 +175,7 @@ class HuffmanCodec:
         arr = np.asarray(data, dtype=np.int64).ravel()
         if arr.size == 0:
             raise ValueError("data must be non-empty")
-        values, counts = kernels.huffman_histogram(arr)
+        values, counts, _ = kernels.huffman_histogram(arr)
         return cls.from_frequencies(
             dict(zip(values.tolist(), counts.tolist())), max_code_length
         )
@@ -192,6 +190,11 @@ class HuffmanCodec:
         return self._symbols_sorted.copy()
 
     @property
+    def code_lengths(self) -> np.ndarray:
+        """Code length of each :attr:`alphabet` symbol, in the same order."""
+        return self._enc_lengths.copy()
+
+    @property
     def max_code_length(self) -> int:
         """Longest code length in bits."""
         return self._max_len
@@ -200,17 +203,6 @@ class HuffmanCodec:
         """Length in bits of *symbol*'s code."""
         idx = self._lookup(np.array([symbol], dtype=np.int64))
         return int(self._enc_lengths[idx[0]])
-
-    def encoded_bit_length(self, data) -> int:
-        """Exact number of bits :meth:`encode_to` would emit for *data*."""
-        arr = np.asarray(data, dtype=np.int64).ravel()
-        if arr.size == 0:
-            return 0
-        total = 0
-        for lo in range(0, arr.size, _ENCODE_CHUNK):
-            idx = self._lookup(arr[lo : lo + _ENCODE_CHUNK])
-            total += int(self._enc_lengths[idx].sum())
-        return total
 
     def _lookup(self, arr: np.ndarray) -> np.ndarray:
         return kernels.huffman_lookup_indices(arr, self._symbols_sorted)
@@ -222,23 +214,35 @@ class HuffmanCodec:
     def encode_to(self, writer: BitWriter, data) -> int:
         """Append the code bits of *data* to *writer*; returns bit count.
 
-        Per chunk, symbols are mapped to (code, length) pairs and handed
-        to the ``huffman_encode_bits`` kernel, which preserves symbol
-        order bit for bit under either backend.
+        Per chunk, symbols are mapped to their :attr:`alphabet` positions
+        and emitted by :meth:`encode_indices_to`.
         """
         arr = np.asarray(data, dtype=np.int64).ravel()
-        if arr.size == 0:
-            return 0
         total_bits = 0
         for lo in range(0, arr.size, _ENCODE_CHUNK):
-            chunk = arr[lo : lo + _ENCODE_CHUNK]
-            idx = self._lookup(chunk)
-            lens = self._enc_lengths[idx]
-            codes = self._enc_codes[idx]
-            writer.write_bits_array(
-                kernels.huffman_encode_bits(codes, lens, self._max_len)
+            chunk = self._lookup(arr[lo : lo + _ENCODE_CHUNK])
+            total_bits += self.encode_indices_to(writer, chunk)
+        return total_bits
+
+    def encode_indices_to(self, writer: BitWriter, indices: np.ndarray) -> int:
+        """Append the codes of the :attr:`alphabet` symbols at *indices*
+        to *writer*; returns the bit count.
+
+        Per chunk, the ``huffman_encode_bits`` kernel packs the
+        (code, length) pairs into MSB-first bytes, preserving symbol
+        order bit for bit under either backend, and the writer appends
+        them at its current bit phase.
+        """
+        idx = np.asarray(indices, dtype=np.int64).ravel()
+        total_bits = 0
+        for lo in range(0, idx.size, _ENCODE_CHUNK):
+            chunk = idx[lo : lo + _ENCODE_CHUNK]
+            lens = self._enc_lengths[chunk]
+            nbits = int(lens.sum())
+            writer.write_packed(
+                kernels.huffman_encode_bits(self._enc_codes[chunk], lens), nbits
             )
-            total_bits += int(lens.sum())
+            total_bits += nbits
         return total_bits
 
     def decode(self, bits: np.ndarray, count: int) -> np.ndarray:

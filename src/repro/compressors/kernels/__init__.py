@@ -8,9 +8,10 @@ backends that produce **byte-identical** streams:
 
 ``vector`` (default)
     NumPy table-driven implementations: canonical code assignment via
-    ``bincount``/``cumsum``, bit emission through masked bit-matrix
-    flattening, decode through one :func:`repro.utils.chains.walk_chain`
-    speculative segment walk, plane coding through broadcast shifts.
+    ``bincount``/``cumsum``, code packing by OR-reducing the codes of
+    each 64-bit word, decode through one
+    :func:`repro.utils.chains.walk_chain` speculative segment walk,
+    plane coding through one byte gather and a masked flatten.
 ``scalar``
     Pure-Python per-symbol / per-bit reference loops. Orders of
     magnitude slower; kept as the readable specification the
@@ -157,8 +158,11 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return _dispatch("canonical_codes", int(lens.size), (lens,))
 
 
-def huffman_histogram(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(distinct sorted ascending, counts)`` of an int64 symbol stream."""
+def huffman_histogram(
+    values: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(distinct sorted ascending, counts, inverse)`` of an int64
+    symbol stream; ``distinct[inverse]`` rebuilds the stream."""
     v = np.asarray(values, dtype=np.int64).ravel()
     return _dispatch("huffman_histogram", int(v.size), (v,))
 
@@ -174,15 +178,12 @@ def huffman_lookup_indices(
     return _dispatch("huffman_lookup_indices", int(v.size), (v, symbols_sorted))
 
 
-def huffman_encode_bits(
-    codes: np.ndarray, lengths: np.ndarray, max_len: int
-) -> np.ndarray:
-    """Flatten per-symbol (code, length) pairs into a 0/1 ``uint8`` stream."""
-    codes = np.asarray(codes, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    return _dispatch(
-        "huffman_encode_bits", int(codes.size), (codes, lengths, int(max_len))
-    )
+def huffman_encode_bits(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Pack per-symbol (code, length) pairs, lengths in [1, 32], into
+    MSB-first ``uint8`` bytes, the last one zero-padded."""
+    codes = np.asarray(codes, dtype=np.int64).ravel()
+    lengths = np.asarray(lengths, dtype=np.int64).ravel()
+    return _dispatch("huffman_encode_bits", int(codes.size), (codes, lengths))
 
 
 def huffman_decode_symbols(

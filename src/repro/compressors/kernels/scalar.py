@@ -49,15 +49,20 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return np.array(codes, dtype=np.int64)
 
 
-def huffman_histogram(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Dict-counting loop, one symbol per iteration."""
+def huffman_histogram(
+    values: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dict-counting loop, then a rank lookup, one symbol per iteration."""
+    stream = values.tolist()
     counts: dict = {}
-    for v in values.tolist():
+    for v in stream:
         counts[v] = counts.get(v, 0) + 1
     distinct = sorted(counts)
+    rank = {s: i for i, s in enumerate(distinct)}
     return (
         np.array(distinct, dtype=np.int64),
         np.array([counts[s] for s in distinct], dtype=np.int64),
+        np.array([rank[v] for v in stream], dtype=np.int64),
     )
 
 
@@ -75,14 +80,22 @@ def huffman_lookup_indices(
     return np.array(out, dtype=np.int64)
 
 
-def huffman_encode_bits(
-    codes: np.ndarray, lengths: np.ndarray, max_len: int
-) -> np.ndarray:
-    """Emit each code MSB-first, one bit per loop iteration."""
+def huffman_encode_bits(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Append each code MSB-first to an integer accumulator, one symbol
+    per loop iteration, and move every completed byte out; the last
+    byte is zero-padded."""
     out: List[int] = []
+    acc = 0
+    nacc = 0
     for code, ln in zip(codes.tolist(), lengths.tolist()):
-        for shift in range(ln - 1, -1, -1):
-            out.append((code >> shift) & 1)
+        acc = (acc << ln) | code
+        nacc += ln
+        while nacc >= 8:
+            nacc -= 8
+            out.append(acc >> nacc)
+            acc &= (1 << nacc) - 1
+    if nacc:
+        out.append(acc << (8 - nacc))
     return np.array(out, dtype=np.uint8)
 
 

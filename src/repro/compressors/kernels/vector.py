@@ -48,9 +48,30 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return first[lens] + rank
 
 
-def huffman_histogram(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct symbols and their counts in one ``np.unique``."""
-    return np.unique(values, return_counts=True)
+def huffman_histogram(
+    values: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct symbols, their counts and every symbol's index
+    among them.
+
+    When the symbols span no more integers than the stream holds (SZ's
+    residuals), one ``np.bincount`` over the span gives all three with
+    no sort; otherwise one ``np.unique``.
+    """
+    if values.size:
+        lo = int(values.min())
+        span = int(values.max()) - lo + 1
+        if span <= values.size:
+            offsets = values - lo
+            counts = np.bincount(offsets, minlength=span)
+            present = counts > 0
+            distinct = np.flatnonzero(present)
+            rank = np.cumsum(present) - 1
+            return distinct + lo, counts[distinct], rank[offsets]
+    distinct, inverse, counts = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    return distinct, counts, inverse
 
 
 def huffman_lookup_indices(
@@ -67,19 +88,37 @@ def huffman_lookup_indices(
     return idx
 
 
-def huffman_encode_bits(
-    codes: np.ndarray, lengths: np.ndarray, max_len: int
-) -> np.ndarray:
-    """Left-align codes into an ``(n, max_len)`` bit matrix, flatten
-    through the per-symbol length mask (row order preserves symbol
-    order)."""
+def huffman_encode_bits(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Pack codes MSB-first into 64-bit words, then big-endian bytes.
+
+    Every code's word and end offset follow from the running sum of
+    the lengths; codes are shifted into place and one
+    ``np.bitwise_or.reduceat`` ORs the codes that start in each word
+    together (codes are at most 32 bits, so every word up to the last
+    one holds the start of some code). A code that straddles a word
+    boundary keeps its high bits in its own word and spills its low
+    bits into the top of the next one.
+    """
     if codes.size == 0:
         return np.empty(0, dtype=np.uint8)
-    col = np.arange(max_len, dtype=np.int64)
-    aligned = codes << (max_len - lengths)
-    bits = ((aligned[:, None] >> (max_len - 1 - col)[None, :]) & 1).astype(np.uint8)
-    mask = col[None, :] < lengths[:, None]
-    return bits[mask]
+    ends = np.cumsum(lengths)
+    total = int(ends[-1])
+    starts = ends - lengths
+    word = starts >> 6
+    # Free bits to the right of the code in its word; < 0 straddles.
+    room = 64 - (starts & 63) - lengths
+    straddle = np.flatnonzero(room < 0)
+    values = codes.astype(np.uint64)
+    placed = values << np.maximum(room, 0).astype(np.uint64)
+    spill = (-room[straddle]).astype(np.uint64)
+    placed[straddle] = values[straddle] >> spill
+    heads = np.flatnonzero(word[1:] != word[:-1]) + 1
+    words = np.zeros((total + 63) >> 6, dtype=np.uint64)
+    words[: heads.size + 1] = np.bitwise_or.reduceat(
+        placed, np.concatenate(([0], heads))
+    )
+    words[word[straddle] + 1] |= values[straddle] << (np.uint64(64) - spill)
+    return words.astype(">u8").view(np.uint8)[: (total + 7) >> 3]
 
 
 def huffman_decode_symbols(
@@ -148,13 +187,31 @@ def negabinary_decode(values: np.ndarray) -> np.ndarray:
 
 def zfp_encode_plane_group(rows: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """Emit flag/payload chunks for a kept-plane group in one masked
-    flatten over the ``(g, kv, 1 + block_size)`` chunk tensor."""
-    shifts = planes.astype(np.uint64)[None, :, None]
-    bits = ((rows[:, None, :] >> shifts) & np.uint64(1)).astype(np.uint8)
-    flags = bits.any(axis=2).astype(np.uint8)  # (g, kv)
-    chunks = np.concatenate([flags[:, :, None], bits], axis=2)
-    mask = np.ones_like(chunks, dtype=bool)
-    mask[:, :, 1:] = flags[:, :, None].astype(bool)
+    flatten over the ``(g, kv, 1 + block_size)`` chunk tensor.
+
+    Plane *p* of a coefficient is bit ``p & 7`` of byte ``p >> 3`` in
+    its little-endian ``uint8`` view. With the bytes regrouped so that
+    byte *k* of every coefficient of a block is contiguous, one gather
+    takes each plane's bytes, and a shift and mask leave each byte 0 or
+    1; a plane's flag is its bit in the OR of the block's coefficients.
+    """
+    g, block_size = rows.shape
+    kv = planes.size
+    if g * kv == 0:
+        return np.empty(0, dtype=np.uint8)
+    octets = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    by_byte = octets.reshape(g, block_size, 8).transpose(0, 2, 1).copy()
+    payload = np.take(by_byte, planes >> 3, axis=1)  # (g, kv, block_size)
+    payload >>= (planes & 7).astype(np.uint8)[None, :, None]
+    payload &= 1
+    occupied = np.bitwise_or.reduce(rows, axis=1)
+    flags = (occupied[:, None] >> planes.astype(np.uint64)) & np.uint64(1)
+
+    chunks = np.empty((g, kv, 1 + block_size), dtype=np.uint8)
+    chunks[:, :, 0] = flags
+    chunks[:, :, 1:] = payload
+    mask = np.ones(chunks.shape, dtype=bool)
+    mask[:, :, 1:] = flags.astype(bool)[:, :, None]
     return chunks[mask]
 
 

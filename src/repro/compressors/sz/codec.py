@@ -116,27 +116,36 @@ class SZCompressor(Compressor):
             self._encode_int_stream_inner(writer, values)
 
     def _encode_int_stream_inner(self, writer: BitWriter, values: np.ndarray) -> None:
+        """One histogram yields the escape set, the codebook, the bit
+        count and every symbol's codebook index.
+
+        The codebook alphabet is the literal values plus ``_ESCAPE`` when
+        some are escaped. Literals may sort on either side of
+        ``_ESCAPE`` (regression coefficients reach past 2^52), so each
+        distinct value's codebook index is looked up in the codec's own
+        sorted alphabet.
+        """
         values = np.asarray(values, dtype=np.int64).ravel()
-        distinct, counts = kernels.huffman_histogram(values)
+        distinct, counts, inverse = kernels.huffman_histogram(values)
+        literal = np.ones(distinct.size, dtype=bool)
         if distinct.size > self.max_alphabet - 1:
-            keep = np.argsort(counts)[::-1][: self.max_alphabet - 1]
-            literal_set = np.sort(distinct[keep])
-            pos = np.searchsorted(literal_set, values)
-            pos_clip = np.minimum(pos, literal_set.size - 1)
-            is_literal = literal_set[pos_clip] == values
-        else:
-            is_literal = np.ones(values.size, dtype=bool)
+            literal[:] = False
+            literal[np.argsort(counts)[::-1][: self.max_alphabet - 1]] = True
+        # A literal equal to the escape symbol would read back as an
+        # escape, so that value always travels in the escape channel.
+        literal &= distinct != _ESCAPE
 
-        escaped = values[~is_literal]
-        stream = np.where(is_literal, values, _ESCAPE)
-
-        codec = HuffmanCodec.from_data(stream)
+        frequencies = dict(zip(distinct[literal].tolist(), counts[literal].tolist()))
+        if not literal.all():
+            frequencies[int(_ESCAPE)] = int(counts[~literal].sum())
+        codec = HuffmanCodec.from_frequencies(frequencies)
+        slot = np.searchsorted(codec.alphabet, np.where(literal, distinct, _ESCAPE))
         codec.serialize_to(writer)
-        nbits = codec.encoded_bit_length(stream)
-        writer.write_uint(stream.size, 64)
-        writer.write_uint(nbits, 64)
-        codec.encode_to(writer, stream)
+        writer.write_uint(values.size, 64)
+        writer.write_uint(int(counts @ codec.code_lengths[slot]), 64)
+        codec.encode_indices_to(writer, slot[inverse])
 
+        escaped = values[~literal[inverse]]
         writer.write_uint(escaped.size, 64)
         if escaped.size:
             zz = (escaped << 1) ^ (escaped >> 63)
@@ -217,8 +226,7 @@ class SZCompressor(Compressor):
 
     def _encode_raw(self, writer: BitWriter, data: np.ndarray) -> None:
         writer.write_uint(_MODE_RAW, 2)
-        flat = np.ascontiguousarray(data).tobytes()
-        writer.write_bits_array(np.unpackbits(np.frombuffer(flat, dtype=np.uint8)))
+        writer.write_packed(np.ascontiguousarray(data).tobytes())
 
     def _grid_candidates(self, indices: np.ndarray):
         """Candidate (predictor id, residuals, coefficients) encodings."""

@@ -109,8 +109,7 @@ class ZFPCompressor(Compressor):
         writer = BitWriter()
         if self._fallback_needed(data, error_bound):
             writer.write_uint(_MODE_RAW, 2)
-            flat = np.ascontiguousarray(data).tobytes()
-            writer.write_bits_array(np.unpackbits(np.frombuffer(flat, dtype=np.uint8)))
+            writer.write_packed(np.ascontiguousarray(data).tobytes())
         else:
             self._encode_blocks(writer, data, error_bound)
         packed = writer.getvalue()

@@ -10,8 +10,8 @@ to least significant. Each plane is one chunk: a 1-bit "non-zero" flag,
 followed by the plane's ``block_size`` raw bits only when the flag is
 set — ZFP's group-testing idea reduced to plane granularity. The
 per-bit inner loops live in :mod:`repro.compressors.kernels`: the
-default ``vector`` backend encodes through a masked bit-matrix flatten
-and decodes through a :func:`~repro.utils.chains.walk_chain` chunk
+default ``vector`` backend encodes through a byte gather and a masked
+flatten and decodes through a :func:`~repro.utils.chains.walk_chain` chunk
 chain (a chunk is 1 or ``1 + block_size`` bits), while
 ``REPRO_KERNELS=scalar`` swaps in the byte-identical reference loops.
 """

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.compressors.huffman import HuffmanCodec, build_code_lengths
@@ -14,12 +14,115 @@ def roundtrip(data, codec=None):
     codec = codec or HuffmanCodec.from_data(data)
     w = BitWriter()
     codec.serialize_to(w)
-    nbits = codec.encoded_bit_length(data)
-    codec.encode_to(w, data)
+    nbits = codec.encode_to(w, data)
     r = BitReader(w.getvalue(), nbits=len(w))
     codec2 = HuffmanCodec.deserialize_from(r)
     out = codec2.decode_from(r, nbits, data.size)
     return out
+
+
+def reference_code_lengths(frequencies, max_code_length=16):
+    """The list-per-merge two-queue build that the current
+    :func:`build_code_lengths` replaced, kept as its oracle."""
+    if not frequencies:
+        raise ValueError("frequency table must be non-empty")
+    if any(f <= 0 for f in frequencies.values()):
+        raise ValueError("frequencies must be positive")
+    nsym = len(frequencies)
+    if nsym > (1 << max_code_length):
+        raise ValueError(
+            f"{nsym} symbols cannot be coded within {max_code_length}-bit codes"
+        )
+    if nsym == 1:
+        return {next(iter(frequencies)): 1}
+
+    symbols = sorted(frequencies)
+    freqs = [frequencies[s] for s in symbols]
+    while True:
+        order = np.argsort(np.asarray(freqs, dtype=np.int64), kind="stable")
+        leaf_freqs = [freqs[i] for i in order.tolist()]
+        parent = [0] * (2 * nsym - 1)
+        merged_freqs = []
+        ai = 0
+        bi = 0
+        for node in range(nsym, 2 * nsym - 1):
+            pair = []
+            for _ in range(2):
+                if ai < nsym and (
+                    bi >= len(merged_freqs) or leaf_freqs[ai] <= merged_freqs[bi]
+                ):
+                    pair.append(ai)
+                    ai += 1
+                else:
+                    pair.append(nsym + bi)
+                    bi += 1
+            parent[pair[0]] = node
+            parent[pair[1]] = node
+            f0 = leaf_freqs[pair[0]] if pair[0] < nsym else merged_freqs[pair[0] - nsym]
+            f1 = leaf_freqs[pair[1]] if pair[1] < nsym else merged_freqs[pair[1] - nsym]
+            merged_freqs.append(f0 + f1)
+        depth = [0] * (2 * nsym - 1)
+        for node in range(2 * nsym - 3, -1, -1):
+            depth[node] = depth[parent[node]] + 1
+        lengths = {
+            symbols[sym_idx]: depth[leaf_pos]
+            for leaf_pos, sym_idx in enumerate(order.tolist())
+        }
+        if max(lengths.values()) <= max_code_length:
+            return lengths
+        freqs = [max(1, f // 2) for f in freqs]
+
+
+def halving_rounds(frequencies, max_code_length):
+    """How many times the length limit halves the frequencies."""
+    freqs = dict(frequencies)
+    rounds = 0
+    while max(reference_code_lengths(freqs, 64).values()) > max_code_length:
+        freqs = {s: max(1, f // 2) for s, f in freqs.items()}
+        rounds += 1
+    return rounds
+
+
+symbol_st = st.integers(-(2**52), 2**52)
+
+
+class TestCodeLengthsMatchReference:
+    @given(
+        st.dictionaries(symbol_st, st.integers(1, 3), min_size=2, max_size=300),
+        st.integers(9, 16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tie_heavy_tables(self, freqs, max_code_length):
+        expected = reference_code_lengths(freqs, max_code_length)
+        assert build_code_lengths(freqs, max_code_length) == expected
+
+    @given(symbol_st, st.integers(1, 2**40), st.integers(1, 16))
+    @settings(max_examples=30, deadline=None)
+    def test_single_symbol_tables(self, symbol, freq, max_code_length):
+        table = {symbol: freq}
+        expected = reference_code_lengths(table, max_code_length)
+        assert build_code_lengths(table, max_code_length) == expected == {symbol: 1}
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=12, max_size=28),
+        st.integers(5, 9),
+        st.integers(0, 2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tables_that_halve_at_least_three_times(
+        self, jitter, max_code_length, seed
+    ):
+        # Near-geometric frequencies build a near-linear tree, so the
+        # limit forces several halving rounds.
+        rng = np.random.default_rng(seed)
+        symbols = rng.choice(2**20, size=len(jitter), replace=False) - 2**19
+        freqs = {
+            int(s): 2**i + j for i, (s, j) in enumerate(zip(symbols, jitter))
+        }
+        assume(len(freqs) <= 2**max_code_length)
+        assume(halving_rounds(freqs, max_code_length) >= 3)
+        expected = reference_code_lengths(freqs, max_code_length)
+        assert build_code_lengths(freqs, max_code_length) == expected
 
 
 class TestBuildCodeLengths:
@@ -106,18 +209,30 @@ class TestRoundTrips:
         out = roundtrip(data)
         assert np.array_equal(out, data)
 
+    def test_encode_indices_matches_encode(self):
+        data = np.array([5, -3, 5, 9, 9, 9, 5], dtype=np.int64)
+        codec = HuffmanCodec.from_data(data)
+        by_symbol, by_index = BitWriter(), BitWriter()
+        nbits = codec.encode_to(by_symbol, data)
+        indices = np.searchsorted(codec.alphabet, data)
+        assert codec.encode_indices_to(by_index, indices) == nbits
+        assert by_index.getvalue() == by_symbol.getvalue()
+        lengths = dict(zip(codec.alphabet.tolist(), codec.code_lengths.tolist()))
+        assert nbits == sum(lengths[s] for s in data.tolist())
+
     def test_encoded_bit_length_exact(self):
         data = np.array([1, 1, 2, 3, 1], dtype=np.int64)
         codec = HuffmanCodec.from_data(data)
         w = BitWriter()
         emitted = codec.encode_to(w, data)
-        assert emitted == codec.encoded_bit_length(data) == len(w)
+        lengths = dict(zip(codec.alphabet.tolist(), codec.code_lengths.tolist()))
+        assert emitted == sum(lengths[s] for s in data.tolist()) == len(w)
 
     def test_compression_beats_fixed_width_on_skewed_data(self):
         rng = np.random.default_rng(1)
         data = rng.choice(np.arange(16), size=10_000, p=[0.7] + [0.02] * 15)
         codec = HuffmanCodec.from_data(data)
-        assert codec.encoded_bit_length(data) < 4 * data.size
+        assert codec.encode_to(BitWriter(), data) < 4 * data.size
 
     @given(st.lists(st.integers(-100, 100), min_size=1, max_size=500))
     @settings(max_examples=60, deadline=None)
@@ -140,9 +255,8 @@ class TestDecodeValidation:
         data = np.arange(50, dtype=np.int64) % 5
         codec = HuffmanCodec.from_data(data)
         w = BitWriter()
-        codec.encode_to(w, data)
+        nbits = codec.encode_to(w, data)
         full_bits = np.unpackbits(np.frombuffer(w.getvalue(), dtype=np.uint8))
-        nbits = codec.encoded_bit_length(data)
         with pytest.raises((ValueError, EOFError)):
             codec.decode(full_bits[: nbits // 2], 50)
 
@@ -175,7 +289,9 @@ class TestEmptyAndSingleSymbolEdgeCases:
 
     def test_encoded_bit_length_empty(self, backend):
         codec = HuffmanCodec.from_data([4, 5])
-        assert codec.encoded_bit_length([]) == 0
+        w = BitWriter()
+        assert codec.encode_indices_to(w, np.empty(0, dtype=np.int64)) == 0
+        assert len(w) == 0
 
     def test_decode_zero_count_from_empty_stream(self, backend):
         codec = HuffmanCodec.from_data([4, 5])

@@ -182,15 +182,52 @@ class TestHuffmanKernels:
         lens = np.sort(np.array(lengths, dtype=np.int64))
         assert_identical(both_backends(kernels.canonical_codes, lens))
 
-    @given(st.lists(int64_st, min_size=0, max_size=400))
-    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(int64_st, min_size=0, max_size=400),
+            st.lists(st.integers(-60, 60), min_size=0, max_size=400),
+        )
+    )
+    @settings(max_examples=80, deadline=None)
     def test_histogram(self, values):
+        # The second strategy spans fewer integers than it has symbols,
+        # which the vector backend counts without sorting.
         arr = np.array(values, dtype=np.int64)
         results = both_backends(kernels.huffman_histogram, arr)
-        for key in (0, 1):
+        for key in (0, 1, 2):
             np.testing.assert_array_equal(
                 results["scalar"][key], results["vector"][key]
             )
+        distinct, counts, inverse = results["vector"]
+        np.testing.assert_array_equal(distinct[inverse], arr)
+        assert counts.sum() == arr.size
+
+    @given(
+        st.lists(
+            st.integers(1, 32).flatmap(
+                lambda n: st.tuples(st.integers(0, 2**n - 1), st.just(n))
+            ),
+            max_size=300,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_encode_bits_packed_identical(self, pairs):
+        check_packed(pairs)
+
+    @pytest.mark.parametrize("length", [1, 32])
+    def test_encode_bits_uniform_lengths(self, length):
+        codes = np.random.default_rng(length).integers(0, 2**length, size=1_000)
+        check_packed([(c, length) for c in codes.tolist()])
+
+    @pytest.mark.parametrize("length", [2, 17, 32])
+    def test_encode_bits_straddle_every_word_offset(self, length):
+        # A run of 1-bit codes puts the long code at each offset of the
+        # first word; every offset past 64 - length straddles.
+        for offset in range(64):
+            check_packed([(1, 1)] * offset + [(2**length - 2, length), (5, 3)])
+
+    def test_encode_bits_empty(self):
+        assert check_packed([]).dtype == np.uint8
 
     def test_lookup_raises_same_keyerror(self):
         alphabet = np.array([1, 5, 9], dtype=np.int64)
@@ -272,6 +309,25 @@ class TestZFPKernels:
                 decoded["scalar"][key], decoded["vector"][key]
             )
 
+    @pytest.mark.parametrize("block_size", [1, 3, 4, 6, 16, 64])
+    def test_plane_group_every_plane_identical(self, block_size):
+        # All 64 planes, so every byte of the negabinary words is read,
+        # at the 1-D/2-D/3-D block sizes and at odd ones.
+        rng = np.random.default_rng(block_size)
+        rows = rng.integers(0, 2**64, size=(9, block_size), dtype=np.uint64)
+        rows[0] = 0
+        rows[1] >>= np.uint64(40)
+        planes = np.arange(63, -1, -1, dtype=np.int64)
+        assert_identical(both_backends(kernels.zfp_encode_plane_group, rows, planes))
+
+    @pytest.mark.parametrize("nblocks,nplanes", [(0, 3), (3, 0)])
+    def test_empty_plane_group_identical(self, nblocks, nplanes):
+        rows = np.ones((nblocks, 4), dtype=np.uint64)
+        planes = np.arange(nplanes, dtype=np.int64)[::-1]
+        encoded = both_backends(kernels.zfp_encode_plane_group, rows, planes)
+        assert_identical(encoded)
+        assert encoded["vector"].size == 0
+
     def test_zero_chunks_identical(self):
         for bits in (np.zeros(0, dtype=np.uint8), np.array([1, 0, 1], np.uint8)):
             got = {}
@@ -292,6 +348,20 @@ class TestZFPKernels:
                     kernels.zfp_decode_plane_group(
                         np.concatenate([bits, bits[:3]]), planes.size, 4
                     )
+
+
+def check_packed(pairs):
+    """Pack (code, length) pairs under both backends; both must equal
+    the MSB-first bytes of the codes taken one bit at a time."""
+    codes = np.array([c for c, _ in pairs], dtype=np.int64)
+    lengths = np.array([n for _, n in pairs], dtype=np.int64)
+    packed = both_backends(kernels.huffman_encode_bits, codes, lengths)
+    assert_identical(packed)
+    bits = [(c >> s) & 1 for c, n in pairs for s in range(n - 1, -1, -1)]
+    np.testing.assert_array_equal(
+        packed["vector"], np.packbits(np.array(bits, dtype=np.uint8))
+    )
+    return packed["vector"]
 
 
 def outcome(fn, *args):

@@ -1,13 +1,17 @@
 """Unit + property tests for the SZ codec end to end."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.compressors import SZCompressor
+from repro.compressors import SZCompressor, kernels
 from repro.compressors.base import CorruptStreamError
 from repro.data import load_field
+from repro.observability import Tracer, get_registry, use_tracer
+from repro.utils.bitio import BitReader, BitWriter
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +139,97 @@ class TestConfiguration:
         arr = np.random.default_rng(5).normal(size=4096).astype(np.float32)
         buf, rec = codec.roundtrip(arr, 1e-3)
         assert np.max(np.abs(arr - rec)) <= 1e-3
+
+
+def kernel_calls(name: str) -> float:
+    labels = {"kernel": name, "backend": kernels.active_backend()}
+    return get_registry().counter("repro_kernel_calls_total", labels).value
+
+
+class TestIntStreamGuards:
+    """Structure of the Huffman stage, pinned by counts and bytes."""
+
+    def test_one_histogram_and_no_lookup_per_stream(self, monkeypatch):
+        # 64^3 at 1e-4 has far more distinct residuals than the literal
+        # alphabet holds, so the escape channel is in use.
+        field = load_field("nyx", "velocity_x", scale=8)
+        assert field.shape == (64, 64, 64)
+        histogram = kernels.huffman_histogram
+        distinct_sizes = []
+
+        def recording_histogram(values):
+            out = histogram(values)
+            distinct_sizes.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(kernels, "huffman_histogram", recording_histogram)
+        get_registry().reset()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            SZCompressor().compress(field, 1e-4)
+        streams = sum(
+            1
+            for root in tracer.spans
+            for span, _ in root.walk()
+            if span.name == "sz.huffman"
+        )
+        # Lorenzo residuals, then regression coefficients and residuals.
+        assert streams == 3
+        assert max(distinct_sizes) > 4095
+        assert kernel_calls("huffman_lookup_indices") == 0
+        assert kernel_calls("huffman_histogram") == streams
+
+    def test_escape_boundary_tie_is_pinned(self, sz):
+        # Lorenzo residuals of this 1-D field: 0 once, 1..4094 three
+        # times each, 4095..5000 twice each. The 4095th and 4096th most
+        # frequent residuals tie at two, so the argsort tie-break over
+        # the counts decides which one keeps a literal code.
+        rng = np.random.default_rng(2024)
+        steps = np.concatenate(
+            [np.repeat(np.arange(1, 4095), 3), np.repeat(np.arange(4095, 5001), 2)]
+        )
+        field = np.concatenate([[0.0], np.cumsum(rng.permutation(steps), dtype=float)])
+        counts = np.sort(np.unique(np.diff(field), return_counts=True)[1])[::-1]
+        assert counts[4094] == counts[4095] == 2
+        eb = 1 / 1.7  # a grid step of 1.0: residuals are the steps
+        buf = sz.compress(field, eb)
+        assert hashlib.sha256(buf.to_bytes()).hexdigest() == (
+            "6301825fa9b6d2a1e05637afb44e35e57cc88e657f2c54a88b3f8ab5585c0263"
+        )
+        assert np.max(np.abs(sz.decompress(buf) - field)) <= eb
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # 2^53 keeps a literal code although it sorts after _ESCAPE.
+            [0, 0, 0, 1, 1, 2, 3, 2**53, 2**53, 2**53],
+            # A value equal to _ESCAPE travels in the escape channel.
+            [0, 0, 0, 1, 1, 2, 3, 2**52, 2**52, -5],
+        ],
+    )
+    @pytest.mark.parametrize("max_alphabet", [4, 4096])
+    def test_literals_on_both_sides_of_escape(self, values, max_alphabet):
+        values = np.array(values, dtype=np.int64)
+        writer = BitWriter()
+        SZCompressor(max_alphabet=max_alphabet)._encode_int_stream_inner(writer, values)
+        reader = BitReader(writer.getvalue(), nbits=len(writer))
+        decoded = SZCompressor._decode_int_stream(reader, values.size)
+        np.testing.assert_array_equal(decoded, values)
+        assert reader.remaining == 0
+
+    def test_regression_coefficients_near_bin_limit(self):
+        # eb = 1e-14 over [0, 1] spans ~2^45.7 bins, so fixed-point
+        # plane constants reach ~2^55; 1600 blocks give more distinct
+        # coefficients than the literal alphabet holds, and the largest
+        # ones win the count-1 tie-break and keep literal codes above
+        # _ESCAPE. SHA-256 taken on the parent commit.
+        field = np.random.default_rng(7).random((240, 240))
+        sz = SZCompressor(predictor="regression")
+        buf = sz.compress(field, 1e-14)
+        assert hashlib.sha256(buf.to_bytes()).hexdigest() == (
+            "236a1ed28a2413aa29d8102d870ab3a5d0ea06c1d75ceb984e514a9e584ad541"
+        )
+        assert np.max(np.abs(sz.decompress(buf) - field)) <= 1e-14
 
 
 class TestPropertyRoundTrip:
