@@ -17,6 +17,10 @@ calibration matches the kernel's kind: compute-bound kernels use the
 ``quick_bench`` kernel (a sort plus a Python loop, which stays in
 cache), and the bandwidth-bound ones (``BANDWIDTH_BOUND``) a streaming
 pass that allocates and writes arrays of their own payload size.
+The recorded ``norm`` is the median over ``PASSES`` independent passes
+of all those rounds: one pass of a sub-millisecond kernel can land at a
+quiet or a busy moment of a shared machine, and a baseline recorded at
+a quiet one would fail kernels that did not change.
 
 CI usage (the ``kernels`` job in ``.github/workflows/ci.yml``)::
 
@@ -125,6 +129,10 @@ def sz_workload(n: int, seed: int = 13) -> np.ndarray:
 #: Shortest span one timing covers; faster kernels and calibrations are
 #: called that many times in a row.
 MIN_SPAN_S = 0.005
+
+#: Independent passes per run; each kernel's recorded norm is their
+#: median.
+PASSES = 5
 
 
 def _timer(fn):
@@ -251,7 +259,7 @@ def main(argv=None) -> int:
                     help="workload scale factor (default 1.0 vector, "
                          "0.02 scalar)")
     ap.add_argument("--repeats", type=int, default=15,
-                    help="rounds; each times every kernel once")
+                    help="rounds per pass; each times every kernel once")
     ap.add_argument("--output", default="BENCH_kernels.json",
                     help="write the JSON report here")
     ap.add_argument("--baseline", default=None,
@@ -274,16 +282,21 @@ def main(argv=None) -> int:
             name: "bandwidth" if name in BANDWIDTH_BOUND else "compute"
             for name, _, _ in cases
         }
-        timings = interleaved_timings(
-            [
-                (name, fn, bandwidth_calibration(nbytes)
-                 if kinds[name] == "bandwidth" else compute)
-                for name, nbytes, fn in cases
-            ],
-            args.repeats,
-        )
+        passes = [
+            interleaved_timings(
+                [
+                    (name, fn, bandwidth_calibration(nbytes)
+                     if kinds[name] == "bandwidth" else compute)
+                    for name, nbytes, fn in cases
+                ],
+                args.repeats,
+            )
+            for _ in range(PASSES)
+        ]
     for name, nbytes, _ in cases:
-        seconds, calib, norm = timings[name]
+        seconds, calib, norm = (
+            float(np.median(column)) for column in zip(*(t[name] for t in passes))
+        )
         report["kernels"][name] = {
             "seconds": seconds,
             "mbytes": nbytes / 1e6,
@@ -291,6 +304,7 @@ def main(argv=None) -> int:
             "calibration": kinds[name],
             "calibration_s": calib,
             "norm": norm,
+            "pass_norms": [t[name][2] for t in passes],
         }
         print(f"{name:18s} {seconds * 1e3:9.2f} ms  "
               f"{nbytes / 1e6 / seconds:9.1f} MB/s  "

@@ -19,6 +19,7 @@ from repro.cache.core import (
     use_cache,
 )
 from repro.cache.fingerprint import (
+    CanonicalForm,
     canonical_json,
     canonicalize,
     describe_node,
@@ -35,6 +36,7 @@ __all__ = [
     "configure_cache",
     "use_cache",
     "fingerprint",
+    "CanonicalForm",
     "canonicalize",
     "canonical_json",
     "describe_node",

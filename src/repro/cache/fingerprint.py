@@ -22,6 +22,9 @@ stability). Covered forms:
 * ``np.random.Generator`` contributes its bit-generator state, so a
   key over a live :class:`~repro.hardware.node.SimulatedNode` pins the
   exact point of its noise stream.
+* A :class:`CanonicalForm` contributes the form it was built from, so
+  a value hashed under many keys (a sweep's sample field) is reduced
+  once and every key still equals ``fingerprint`` of the value itself.
 * Other objects contribute ``(class, vars(obj))`` — enough for the
   stateless :class:`~repro.hardware.powercurves.PowerCurve` family.
   Functions, classes and modules raise: their behavior is not content
@@ -41,7 +44,28 @@ import numpy as np
 
 from repro.core.persistence import SCHEMA_VERSION
 
-__all__ = ["canonicalize", "canonical_json", "fingerprint", "describe_node"]
+__all__ = [
+    "CanonicalForm",
+    "canonicalize",
+    "canonical_json",
+    "fingerprint",
+    "describe_node",
+]
+
+
+class CanonicalForm:
+    """*value* reduced by :func:`canonicalize` once, at construction.
+
+    ``fingerprint(field=CanonicalForm(x), ...)`` equals
+    ``fingerprint(field=x, ...)``; build one per value and reuse it
+    across keys. It captures the value's content when built, so a value
+    changed afterwards needs a new one.
+    """
+
+    __slots__ = ("form",)
+
+    def __init__(self, value: Any) -> None:
+        self.form = canonicalize(value)
 
 
 def canonicalize(obj: Any) -> Any:
@@ -89,6 +113,8 @@ def canonicalize(obj: Any) -> Any:
     if isinstance(obj, np.random.Generator):
         state = obj.bit_generator.state
         return {"__rng__": canonicalize(state)}
+    if isinstance(obj, CanonicalForm):
+        return obj.form
     if not isinstance(
         obj, (type, types.ModuleType, types.FunctionType,
               types.BuiltinFunctionType, types.MethodType, types.LambdaType)

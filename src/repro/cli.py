@@ -577,7 +577,7 @@ def _cmd_dump(args) -> int:
     from repro.hardware.cpu import get_cpu
     from repro.hardware.node import SimulatedNode
     from repro.hardware.workload import WorkloadKind
-    from repro.iosim.dumper import DataDumper
+    from repro.iosim.dumper import DataDumper, measure_ratio
 
     _check_executor_args(args)
     bundle = ModelBundle.load(args.models)
@@ -601,8 +601,11 @@ def _cmd_dump(args) -> int:
             cpu, node.power_curve, args.power_budget_w, codec=args.codec
         )
 
+    # Both dumps compress the same sample at the same bound.
+    measurement = measure_ratio(codec, arr, args.error_bound, chunk_bytes,
+                                args.executor, args.workers)
     base = dumper.dump(codec, arr, args.error_bound, target, fault_plan=plan,
-                       phase_caps=phase_caps)
+                       phase_caps=phase_caps, measurement=measurement)
     if args.governor is not None:
         from repro.governor import make_governor
 
@@ -614,6 +617,7 @@ def _cmd_dump(args) -> int:
         tuned = dumper.dump(
             codec, arr, args.error_bound, target,
             governor=governor, fault_plan=plan, phase_caps=phase_caps,
+            measurement=measurement,
         )
         tuned_label = f"{args.governor} gov."
     else:
@@ -621,7 +625,7 @@ def _cmd_dump(args) -> int:
             codec, arr, args.error_bound, target,
             compress_freq_ghz=PAPER_POLICY.frequency_for(cpu, WorkloadKind.COMPRESS_SZ),
             write_freq_ghz=PAPER_POLICY.frequency_for(cpu, WorkloadKind.WRITE),
-            fault_plan=plan, phase_caps=phase_caps,
+            fault_plan=plan, phase_caps=phase_caps, measurement=measurement,
         )
         tuned_label = "Eqn. 3"
     saved = base.total_energy_j - tuned.total_energy_j

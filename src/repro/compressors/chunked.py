@@ -213,11 +213,20 @@ class ChunkedCompressor:
         #: Timing of the most recent compress/decompress call.
         self.last_stats: Optional[ParallelStats] = None
 
-    def _slabs(self, arr: np.ndarray) -> Iterator[np.ndarray]:
+    def _slab_starts(self, arr: np.ndarray) -> range:
+        """First row of every slab; slabs take whole rows along axis 0."""
         row_bytes = arr.nbytes // arr.shape[0] if arr.shape[0] else arr.nbytes
         rows = max(1, self.max_chunk_bytes // max(row_bytes, 1))
-        for lo in range(0, arr.shape[0], rows):
-            yield arr[lo : lo + rows]
+        return range(0, arr.shape[0], rows)
+
+    def slab_count(self, arr: np.ndarray) -> int:
+        """Number of slabs (and chunks) :meth:`compress` splits *arr* into."""
+        return len(self._slab_starts(arr))
+
+    def _slabs(self, arr: np.ndarray) -> Iterator[np.ndarray]:
+        starts = self._slab_starts(arr)
+        for lo in starts:
+            yield arr[lo : lo + starts.step]
 
     def _run(self, op, fn, items, bytes_in, bytes_out_of):
         """Map *fn* over *items* through the configured executor and

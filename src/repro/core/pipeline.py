@@ -36,7 +36,7 @@ from repro.core.tuning import TuningPolicy, TuningRecommendation, recommend_from
 from repro.data.registry import load_field
 from repro.hardware.node import SimulatedNode
 from repro.hardware.workload import WorkloadKind
-from repro.iosim.dumper import DataDumper, DumpReport
+from repro.iosim.dumper import DataDumper, DumpReport, measure_ratio
 from repro.iosim.nfs import NfsTarget
 from repro.observability import get_tracer
 
@@ -249,16 +249,21 @@ class TunedIOPipeline:
             "pipeline.apply", arch=arch, codec=codec.name,
             target_bytes=int(target_bytes),
         ):
+            # Both dumps compress the same sample at the same bound.
+            measurement = measure_ratio(
+                codec, sample, error_bound, chunk_bytes, executor, workers
+            )
             with tracer.span("pipeline.apply.baseline"):
                 baseline = dumper.dump(
                     codec, sample, error_bound, target_bytes,
-                    fault_plan=fault_plan,
+                    fault_plan=fault_plan, measurement=measurement,
                 )
             with tracer.span("pipeline.apply.tuned"):
                 if governor is not None:
                     tuned = dumper.dump(
                         codec, sample, error_bound, target_bytes,
                         fault_plan=fault_plan, governor=governor,
+                        measurement=measurement,
                     )
                 else:
                     tuned = dumper.dump(
@@ -269,6 +274,7 @@ class TunedIOPipeline:
                         compress_freq_ghz=recs["compress"].freq_ghz,
                         write_freq_ghz=recs["write"].freq_ghz,
                         fault_plan=fault_plan,
+                        measurement=measurement,
                     )
         return compare_reports(baseline, tuned)
 

@@ -20,7 +20,7 @@ from repro.hardware.cpu import BROADWELL_D1548, SKYLAKE_4114
 from repro.hardware.node import SimulatedNode
 from repro.hardware.workload import WorkloadKind, compression_workload
 from repro.iosim.cluster import Cluster
-from repro.iosim.dumper import DataDumper
+from repro.iosim.dumper import DataDumper, measure_ratio
 from repro.iosim.loader import DataLoader
 from repro.iosim.nfs import NfsTarget
 from repro.workflow.report import render_table
@@ -47,9 +47,12 @@ def run_restore(ctx: Optional[ExperimentContext] = None) -> List[Dict[str, objec
         f_io = cpu.snap_frequency(0.85 * cpu.fmax_ghz)
         dumper, loader = DataDumper(node), DataLoader(node)
         for eb in (1e-1, 1e-3):
-            dump_base = dumper.dump(SZCompressor(), arr, eb, int(512e9))
+            measurement = measure_ratio(SZCompressor(), arr, eb)
+            dump_base = dumper.dump(SZCompressor(), arr, eb, int(512e9),
+                                    measurement=measurement)
             dump_tuned = dumper.dump(SZCompressor(), arr, eb, int(512e9),
-                                     compress_freq_ghz=f_codec, write_freq_ghz=f_io)
+                                     compress_freq_ghz=f_codec, write_freq_ghz=f_io,
+                                     measurement=measurement)
             rest_base = loader.restore(SZCompressor(), arr, eb, int(512e9))
             rest_tuned = loader.restore(SZCompressor(), arr, eb, int(512e9),
                                         read_freq_ghz=f_io,

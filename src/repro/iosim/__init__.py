@@ -8,7 +8,13 @@ compress-then-write pipeline of Section VI-B.
 
 from repro.iosim.nfs import NfsTarget
 from repro.iosim.transit import TransitExperiment, transit_workload
-from repro.iosim.dumper import DataDumper, DumpReport, StageReport
+from repro.iosim.dumper import (
+    DataDumper,
+    DumpReport,
+    RatioMeasurement,
+    StageReport,
+    measure_ratio,
+)
 from repro.iosim.loader import DataLoader, RestoreReport
 from repro.iosim.cluster import Cluster, ClusterDumpReport
 from repro.iosim.burstbuffer import BurstBufferTarget, TieredDumper, TieredDumpReport
@@ -21,6 +27,8 @@ __all__ = [
     "DataDumper",
     "DumpReport",
     "StageReport",
+    "RatioMeasurement",
+    "measure_ratio",
     "DataLoader",
     "RestoreReport",
     "Cluster",

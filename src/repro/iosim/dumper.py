@@ -7,10 +7,15 @@ codec runs on a working-scale field to obtain the true compression
 ratio; costs then extrapolate linearly in bytes to the target size
 (exactly how the paper reaches 512 GB by concatenating NYX snapshots).
 
-With *chunk_bytes* set, the ratio measurement shards the sample field
-into slabs and runs them through a :mod:`repro.parallel` executor; the
-per-slab timing lands on :attr:`DumpReport.parallel` so scaling can be
-tracked alongside the energy numbers.
+The ratio depends only on the codec, the sample, the bound and the
+chunking, not on clocks, governors, budgets or snapshot indices, so
+:func:`measure_ratio` takes it once and :meth:`DataDumper.dump` accepts
+the resulting :class:`RatioMeasurement`: a campaign, or a baseline and
+a tuned dump of the same sample, pay for the codec once. With
+*chunk_bytes* set, the measurement shards the sample field into slabs
+and runs them through a :mod:`repro.parallel` executor; the per-slab
+timing lands on :attr:`DumpReport.parallel` so scaling can be tracked
+alongside the energy numbers.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.compressors.base import Compressor
-from repro.compressors.chunked import ChunkedCompressor
+from repro.compressors.base import CompressedBuffer, Compressor
+from repro.compressors.chunked import ChunkedBuffer, ChunkedCompressor
 from repro.hardware.node import SimulatedNode
 from repro.hardware.workload import WorkloadKind, compression_workload
 from repro.iosim.nfs import NfsTarget
@@ -36,7 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.resilience.policies import RecoveryPolicy
     from repro.resilience.report import SnapshotResilience
 
-__all__ = ["StageReport", "DumpReport", "DataDumper"]
+__all__ = [
+    "StageReport",
+    "DumpReport",
+    "DataDumper",
+    "RatioMeasurement",
+    "measure_ratio",
+]
 
 _KIND_BY_CODEC = {
     "sz": WorkloadKind.COMPRESS_SZ,
@@ -86,6 +97,71 @@ class DumpReport:
         return self.compress.runtime_s + self.write.runtime_s + extra
 
 
+@dataclass(frozen=True)
+class RatioMeasurement:
+    """A sample field compressed once: the codec and bound it ran at,
+    the buffer and, for a chunked measurement, its per-slab timing."""
+
+    codec: str
+    error_bound: float
+    buffer: "CompressedBuffer | ChunkedBuffer"
+    #: ``None`` when the sample was compressed monolithically.
+    parallel: Optional[ParallelStats] = None
+
+    @property
+    def ratio(self) -> float:
+        return self.buffer.ratio
+
+
+def measure_ratio(
+    compressor: Compressor,
+    sample_field: np.ndarray,
+    error_bound: float,
+    chunk_bytes: Optional[int] = None,
+    executor: "Executor | str" = "auto",
+    workers: Optional[int] = None,
+    engine: Optional["ResilienceEngine"] = None,
+    snapshot_index: int = 0,
+) -> RatioMeasurement:
+    """Compress *sample_field* at *error_bound*, whole or (with
+    *chunk_bytes*) in slabs through :class:`ChunkedCompressor` on
+    *executor*/*workers*.
+
+    An *engine* injects the slab crashes its plan schedules for
+    *snapshot_index* and re-runs the crashed slabs within its retry
+    budget; the re-run slabs land on ``parallel.retried_tasks``.
+    """
+    error_bound = float(error_bound)
+    if chunk_bytes is None:
+        buf = compressor.compress(sample_field, error_bound)
+        return RatioMeasurement(compressor.name, error_bound, buf)
+    chunked = ChunkedCompressor(
+        compressor, max_chunk_bytes=chunk_bytes,
+        executor=executor, workers=workers,
+    )
+    if engine is not None:
+        wrapper = engine.injector.slab_wrapper(
+            snapshot_index, chunked.slab_count(sample_field)
+        )
+        if wrapper.any_planned:
+            chunked.retries = engine.policy.retry.max_attempts - 1
+            chunked.slab_wrapper = wrapper
+    buf = chunked.compress(sample_field, error_bound)
+    return RatioMeasurement(compressor.name, error_bound, buf, chunked.last_stats)
+
+
+def _slab_faults_planned(
+    engine: Optional["ResilienceEngine"],
+    snapshot_index: int,
+    measurement: RatioMeasurement,
+) -> bool:
+    """Whether the plan crashes slabs of a chunked measurement here."""
+    if engine is None or measurement.parallel is None:
+        return False
+    n_slabs = len(measurement.buffer.chunks)
+    return engine.injector.slab_wrapper(snapshot_index, n_slabs).any_planned
+
+
 class DataDumper:
     """Runs the compress-then-write pipeline on a simulated node.
 
@@ -121,14 +197,6 @@ class DataDumper:
         energy = float(np.mean([m.energy_j for m in runs]))
         return runs[0].freq_ghz, runtime, energy
 
-    def _n_slabs(self, sample_field: np.ndarray) -> int:
-        """Slab count :class:`ChunkedCompressor` will produce (mirror of
-        its ``_slabs`` split), needed to size fault targets up front."""
-        nrows = sample_field.shape[0]
-        row_bytes = sample_field.nbytes // nrows if nrows else sample_field.nbytes
-        rows = max(1, self.chunk_bytes // max(row_bytes, 1))
-        return len(range(0, nrows, rows))
-
     def dump(
         self,
         compressor: Compressor,
@@ -142,6 +210,7 @@ class DataDumper:
         snapshot_index: int = 0,
         governor=None,
         phase_caps: Optional[Mapping[str, float]] = None,
+        measurement: Optional[RatioMeasurement] = None,
     ) -> DumpReport:
         """Compress *target_bytes* worth of data (character taken from
         *sample_field*) and write the result to the NFS.
@@ -150,9 +219,17 @@ class DataDumper:
         ----------
         compressor:
             A real codec; it runs on *sample_field* to obtain the true
-            compression ratio at *error_bound*.
+            compression ratio at *error_bound*, unless *measurement*
+            already holds it.
         sample_field:
             Working-scale field representative of the full dataset.
+        measurement:
+            This codec's :func:`measure_ratio` of *sample_field* at
+            *error_bound*, with this dumper's chunking, to reuse instead
+            of compressing again. A snapshot whose fault plan crashes
+            slabs still measures on its own, so the crashed slabs are
+            re-run and charged; bit flips are checked against the shared
+            buffer, which stays unmodified.
         target_bytes:
             Full-experiment size (e.g. 512 GB) the costs extrapolate to.
         compress_freq_ghz / write_freq_ghz:
@@ -182,6 +259,14 @@ class DataDumper:
         check_positive(target_bytes, "target_bytes")
         if compressor.name not in _KIND_BY_CODEC:
             raise KeyError(f"no workload kind for codec {compressor.name!r}")
+        if measurement is not None and (
+            measurement.codec, measurement.error_bound
+        ) != (compressor.name, float(error_bound)):
+            raise ValueError(
+                f"measurement of {measurement.codec} at "
+                f"{measurement.error_bound:g} cannot serve a "
+                f"{compressor.name} dump at {float(error_bound):g}"
+            )
 
         engine: Optional["ResilienceEngine"] = None
         if fault_plan is not None and not fault_plan.is_empty:
@@ -200,41 +285,27 @@ class DataDumper:
                 compressor, sample_field, error_bound, target_bytes,
                 compress_freq_ghz, write_freq_ghz, tracer,
                 engine, int(snapshot_index), governor, phase_caps,
+                measurement,
             )
 
     def _dump_traced(
         self, compressor, sample_field, error_bound, target_bytes,
         compress_freq_ghz, write_freq_ghz, tracer,
         engine=None, snapshot_index=0, governor=None, phase_caps=None,
+        measurement=None,
     ) -> DumpReport:
-        parallel: Optional[ParallelStats] = None
-        retried_slabs: Tuple[int, ...] = ()
         with tracer.span("dump.ratio", bytes_in=sample_field.nbytes) as sp:
-            if self.chunk_bytes is not None:
-                fault_kwargs = {}
-                if engine is not None:
-                    wrapper = engine.injector.slab_wrapper(
-                        snapshot_index, self._n_slabs(sample_field)
-                    )
-                    if wrapper.any_planned:
-                        fault_kwargs = dict(
-                            retries=engine.policy.retry.max_attempts - 1,
-                            slab_wrapper=wrapper,
-                        )
-                chunked = ChunkedCompressor(
-                    compressor,
-                    max_chunk_bytes=self.chunk_bytes,
-                    executor=self.executor,
-                    workers=self.workers,
-                    **fault_kwargs,
+            if measurement is None or _slab_faults_planned(
+                engine, snapshot_index, measurement
+            ):
+                measurement = measure_ratio(
+                    compressor, sample_field, error_bound, self.chunk_bytes,
+                    self.executor, self.workers, engine, snapshot_index,
                 )
-                buf = chunked.compress(sample_field, error_bound)
-                parallel = chunked.last_stats
-                retried_slabs = parallel.retried_tasks if parallel else ()
-            else:
-                buf = compressor.compress(sample_field, error_bound)
-            ratio = buf.ratio
+            ratio = measurement.ratio
             sp.set(ratio=ratio)
+        buf, parallel = measurement.buffer, measurement.parallel
+        retried_slabs = parallel.retried_tasks if parallel else ()
         compressed_bytes = max(1, int(round(target_bytes / ratio)))
 
         flipped_chunks: Tuple[int, ...] = ()

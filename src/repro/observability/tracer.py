@@ -7,11 +7,11 @@ same visibility into itself — every pipeline stage opens a
 the finished spans form a tree mirroring the call structure:
 
     campaign.run
+      chunk.compress
+        chunk.slab ...
       campaign.snapshot
         dump
           dump.ratio
-            chunk.compress
-              chunk.slab ...
           dump.compress
           dump.write
 

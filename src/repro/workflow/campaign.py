@@ -18,11 +18,16 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache import fingerprint, get_cache
+from repro.cache import CanonicalForm, fingerprint, get_cache
 from repro.compressors.base import Compressor, get_compressor
 from repro.hardware.cpu import CpuSpec
 from repro.hardware.node import SimulatedNode
-from repro.iosim.dumper import DataDumper, DumpReport
+from repro.iosim.dumper import (
+    DataDumper,
+    DumpReport,
+    RatioMeasurement,
+    measure_ratio,
+)
 from repro.iosim.nfs import NfsTarget
 from repro.observability import get_registry, get_tracer
 from repro.parallel import Executor, resolve_executor
@@ -140,16 +145,22 @@ def run_campaign(
     policy: Optional["RecoveryPolicy"] = None,
     governor=None,
     power_budget_w: Optional[float] = None,
+    measurement: Optional[RatioMeasurement] = None,
 ) -> CampaignReport:
     """Play the campaign through the dump pipeline.
 
     Compute phases run at the base clock (simulations need full speed —
     the paper's premise); only the snapshot dumps are frequency-tuned.
-    With *chunk_bytes* set, each snapshot's ratio measurement shards the
+    The sample's compression ratio does not change between snapshots,
+    so it is measured once per campaign (:func:`measure_ratio`, before
+    the first snapshot) and every snapshot's dump reuses it; pass a
+    *measurement* of the same codec, sample, bound and chunking to skip
+    even that one. With *chunk_bytes* set, the measurement shards the
     sample field through :mod:`repro.parallel` (*executor*/*workers*
     pick the backend), so traces show the chunk/slab stages. A
     *fault_plan* injects its faults per snapshot index; retries,
-    failovers and losses land on the report's resilience properties.
+    failovers and losses land on the report's resilience properties,
+    and a snapshot whose plan crashes slabs measures again on its own.
     A *governor* (a :class:`repro.governor.Governor`, spec or policy
     name) steers any stage without an explicit frequency, learning
     across snapshots; its decision summary lands on
@@ -180,6 +191,11 @@ def run_campaign(
         snapshots=campaign.n_snapshots,
         snapshot_bytes=campaign.snapshot_bytes,
     ):
+        if measurement is None:
+            measurement = measure_ratio(
+                compressor, sample_field, error_bound, chunk_bytes,
+                executor, workers,
+            )
         snapshots = []
         for index in range(campaign.n_snapshots):
             with tracer.span("campaign.snapshot", index=index) as sp:
@@ -195,6 +211,7 @@ def run_campaign(
                     snapshot_index=index,
                     governor=governor,
                     phase_caps=phase_caps,
+                    measurement=measurement,
                 )
                 sp.set(
                     ratio=report.compression_ratio,
@@ -249,9 +266,9 @@ class CampaignPoint:
             check_positive(self.power_budget_w, "power_budget_w")
 
 
-def _run_campaign_point(
+def _run_bound(
     cpu: CpuSpec,
-    codec_name: str,
+    compressor: Compressor,
     sample_field: np.ndarray,
     campaign: CheckpointCampaign,
     nfs: Optional[NfsTarget],
@@ -259,28 +276,35 @@ def _run_campaign_point(
     seed: int,
     fault_plan: Optional["FaultPlan"],
     chunk_bytes: Optional[int],
-    point: CampaignPoint,
-) -> CampaignReport:
-    """Module-level so process-pool workers can pickle the task.
+    points: Tuple[CampaignPoint, ...],
+) -> Tuple[CampaignReport, ...]:
+    """Play *points*, which share one error bound, on one measurement.
 
-    Every point gets its own freshly seeded node, so results are
-    independent of execution order — and therefore of the backend.
+    Module-level so process-pool workers can pickle the task. Every
+    point gets its own freshly seeded node, so results are independent
+    of execution order and grouping — and therefore of the backend.
     """
-    node = SimulatedNode(cpu, seed=seed)
-    return run_campaign(
-        node,
-        get_compressor(codec_name),
-        sample_field,
-        point.error_bound,
-        campaign,
-        compress_freq_ghz=point.compress_freq_ghz,
-        write_freq_ghz=point.write_freq_ghz,
-        nfs=nfs,
-        repeats=repeats,
-        chunk_bytes=chunk_bytes,
-        fault_plan=fault_plan,
-        governor=point.governor,
-        power_budget_w=point.power_budget_w,
+    measurement = measure_ratio(
+        compressor, sample_field, points[0].error_bound, chunk_bytes
+    )
+    return tuple(
+        run_campaign(
+            SimulatedNode(cpu, seed=seed),
+            compressor,
+            sample_field,
+            point.error_bound,
+            campaign,
+            compress_freq_ghz=point.compress_freq_ghz,
+            write_freq_ghz=point.write_freq_ghz,
+            nfs=nfs,
+            repeats=repeats,
+            chunk_bytes=chunk_bytes,
+            fault_plan=fault_plan,
+            governor=point.governor,
+            power_budget_w=point.power_budget_w,
+            measurement=measurement,
+        )
+        for point in points
     )
 
 
@@ -300,17 +324,20 @@ def run_campaign_sweep(
     governor: "GovernorSpec | str | None" = None,
     power_budget_w: Optional[float] = None,
 ) -> Tuple[CampaignReport, ...]:
-    """Play the campaign at every sweep point, points in parallel.
+    """Play the campaign at every sweep point, one task per error bound.
 
     Each point (a :class:`CampaignPoint`, or a bare error bound) runs on
     its own node seeded with *seed*, so a sweep's reports are mutually
     comparable and byte-identical across executor backends (a
     *fault_plan*'s triggers are keyed on logical coordinates, so faulted
-    sweeps stay backend-identical too). The sweep fans out through
-    :mod:`repro.parallel` — process pools pay off once the per-point
-    codec work dominates the fork cost. *chunk_bytes* shards each
-    snapshot's ratio measurement (and joins the cache key, since it
-    shapes the reports' parallel-stage annotations).
+    sweeps stay backend-identical too). Points that miss the cache fan
+    out through :mod:`repro.parallel` as one task per distinct error
+    bound: the task compresses the sample once and plays each of its
+    points on that measurement, since clocks, governors and budgets do
+    not change the ratio. *compressor* (an instance, with its
+    configuration, or a registered name) runs in the tasks as given.
+    *chunk_bytes* shards the ratio measurement (and joins the cache
+    key, since it shapes the reports' parallel-stage annotations).
 
     *governor* (a :class:`repro.governor.GovernorSpec` or policy name)
     is the sweep-wide default: it fills every point that neither pins a
@@ -359,32 +386,34 @@ def run_campaign_sweep(
             replace(p, power_budget_w=budget) if p.power_budget_w is None else p
             for p in resolved
         )
-    codec_name = compressor if isinstance(compressor, str) else compressor.name
-    get_compressor(codec_name)  # fail fast on unknown codecs
+    codec = get_compressor(compressor) if isinstance(compressor, str) else compressor
+    chunk = None if chunk_bytes is None else int(chunk_bytes)
 
-    # Incremental recomputation: every point is pure in (cpu, codec,
-    # field, campaign, nfs, repeats, seed, fault plan, point) — each
-    # fresh-node run is content-addressable. Lookups and stores happen
-    # here in the parent, so cache state never depends on the executor
-    # backend; only the dirty points fan out through the pool.
+    # Incremental recomputation: every point is pure in (cpu, codec and
+    # its configuration, field, campaign, nfs, repeats, seed, fault
+    # plan, chunking, point) — each fresh-node run is content-
+    # addressable. Lookups and stores happen here in the parent, so
+    # cache state never depends on the executor backend; only the dirty
+    # points fan out through the pool.
     cache = get_cache()
     reports: list = [None] * len(resolved)
     keys: list = []
     miss_indices = list(range(len(resolved)))
     if cache.enabled:
         miss_indices = []
+        field = CanonicalForm(sample_field)  # one field digest per sweep
         for i, point in enumerate(resolved):
             key = fingerprint(
                 kind="campaign.point",
                 cpu=cpu,
-                codec=codec_name,
-                field=sample_field,
+                codec=codec,
+                field=field,
                 campaign=campaign,
                 nfs=nfs,
                 repeats=int(repeats),
                 seed=int(seed),
                 fault_plan=fault_plan,
-                chunk=None if chunk_bytes is None else int(chunk_bytes),
+                chunk=chunk,
                 point=point,
             )
             keys.append(key)
@@ -394,28 +423,23 @@ def run_campaign_sweep(
             else:
                 miss_indices.append(i)
 
+    groups: dict = {}
+    for i in miss_indices:
+        groups.setdefault(resolved[i].error_bound, []).append(i)
     fn = partial(
-        _run_campaign_point,
-        cpu,
-        codec_name,
-        sample_field,
-        campaign,
-        nfs,
-        int(repeats),
-        int(seed),
-        fault_plan,
-        None if chunk_bytes is None else int(chunk_bytes),
+        _run_bound, cpu, codec, sample_field, campaign, nfs, int(repeats),
+        int(seed), fault_plan, chunk,
     )
     pool = owned = None
-    if miss_indices:
+    if groups:
         pool, owned = resolve_executor(
             executor,
             workers,
-            n_tasks=len(miss_indices),
-            task_nbytes=sample_field.nbytes * campaign.n_snapshots,
+            n_tasks=len(groups),
+            task_nbytes=sample_field.nbytes,
             codec_cost=4.0,
         )
-    # Points may fan out to worker processes, whose spans are invisible
+    # Tasks may fan out to worker processes, whose spans are invisible
     # here; the sweep-level span still records the fan-out shape.
     with get_tracer().span(
         "campaign.sweep",
@@ -424,14 +448,18 @@ def run_campaign_sweep(
         executor=pool.name if pool is not None else "cache",
         workers=pool.workers if pool is not None else 0,
     ):
-        if miss_indices:
+        if groups:
             try:
-                fresh = pool.map(fn, [resolved[i] for i in miss_indices])
+                fresh = pool.map(fn, [
+                    tuple(resolved[i] for i in group) for group in groups.values()
+                ])
             finally:
                 if owned:
                     pool.close()
-            for i, report in zip(miss_indices, fresh):
-                reports[i] = report
-                if cache.enabled:
-                    cache.store(keys[i], report, context="campaign.point")
+            for group, group_reports in zip(groups.values(), fresh):
+                for i, report in zip(group, group_reports):
+                    reports[i] = report
+            if cache.enabled:
+                for i in miss_indices:
+                    cache.store(keys[i], reports[i], context="campaign.point")
     return tuple(reports)

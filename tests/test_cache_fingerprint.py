@@ -9,8 +9,17 @@ would quietly break the disk tier).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.cache import canonical_json, canonicalize, describe_node, fingerprint
+from repro.cache import (
+    CanonicalForm,
+    canonical_json,
+    canonicalize,
+    describe_node,
+    fingerprint,
+)
 from repro.hardware.cpu import BROADWELL_D1548, SKYLAKE_4114
 from repro.hardware.node import SimulatedNode
 from repro.hardware.workload import WorkloadKind, compression_workload
@@ -97,6 +106,40 @@ class TestFingerprint:
 
     def test_cpu_specs_distinguish(self):
         assert fingerprint(cpu=SKYLAKE_4114) != fingerprint(cpu=BROADWELL_D1548)
+
+
+_PART_VALUES = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    arrays(
+        st.sampled_from([np.float32, np.float64, np.int16]),
+        array_shapes(min_dims=0, max_dims=3, max_side=4),
+    ),
+    st.builds(compression_workload, st.just(WorkloadKind.COMPRESS_SZ),
+              st.integers(1, 10**9), st.floats(1e-6, 1.0)),
+)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        value=st.one_of(_PART_VALUES, st.lists(_PART_VALUES, max_size=3),
+                        st.dictionaries(st.text(max_size=4), _PART_VALUES,
+                                        max_size=3)),
+        other=_PART_VALUES,
+    )
+    def test_key_equals_the_fingerprint_of_the_value(self, value, other):
+        assert (fingerprint(kind="t", field=CanonicalForm(value), other=other)
+                == fingerprint(kind="t", field=value, other=other))
+
+    def test_form_is_taken_at_construction(self):
+        arr = np.arange(6.0)
+        form = CanonicalForm(arr)
+        arr[0] = 9.0
+        assert fingerprint(field=form) != fingerprint(field=arr)
+        assert fingerprint(field=CanonicalForm(arr)) == fingerprint(field=arr)
 
 
 class TestDescribeNode:

@@ -48,6 +48,13 @@ class TestRoundTrip:
         ).ratio
         assert chunked > 0.6 * mono  # per-chunk headers cost a little
 
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 2048))
+    @settings(max_examples=40, deadline=None)
+    def test_slab_count_is_the_chunk_count(self, rows, cols, budget):
+        arr = np.ones((rows, cols), dtype=np.float32)
+        cc = ChunkedCompressor("sz", max_chunk_bytes=budget)
+        assert cc.slab_count(arr) == len(cc.compress(arr, 1e-2).chunks)
+
     @given(st.integers(1, 40), st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
     def test_roundtrip_property(self, rows, seed):

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.cache import fingerprint
+from repro.cache import ResultCache, fingerprint, use_cache
 from repro.cli import main
 from repro.compressors import SZCompressor
 from repro.governor import GovernorSpec, StaticGovernor
@@ -171,12 +171,14 @@ class TestExecutorMatrix:
                           governor=GovernorSpec(kind="adaptive", seed=0)),
         )
         kw = dict(repeats=1, seed=0)
-        baseline = run_campaign_sweep(
-            CPU, SZCompressor(), field, points, campaign,
-            executor="serial", **kw)
-        under_test = run_campaign_sweep(
-            CPU, SZCompressor(), field, points, campaign,
-            executor=EXECUTOR, **kw)
+        # Uncached, or the second sweep would replay the first's entries.
+        with use_cache(ResultCache(enabled=False)):
+            baseline = run_campaign_sweep(
+                CPU, SZCompressor(), field, points, campaign,
+                executor="serial", **kw)
+            under_test = run_campaign_sweep(
+                CPU, SZCompressor(), field, points, campaign,
+                executor=EXECUTOR, **kw)
         assert encode_value(list(under_test)) == encode_value(list(baseline))
 
 

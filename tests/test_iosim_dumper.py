@@ -7,7 +7,8 @@ from repro.compressors import SZCompressor, ZFPCompressor
 from repro.data import load_field
 from repro.hardware.cpu import BROADWELL_D1548
 from repro.hardware.node import SimulatedNode
-from repro.iosim.dumper import DataDumper
+from repro.iosim.dumper import DataDumper, measure_ratio
+from repro.observability import get_registry
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +126,53 @@ class TestChunkedDump:
         node = SimulatedNode(BROADWELL_D1548)
         with pytest.raises(ValueError):
             DataDumper(node, chunk_bytes=0)
+
+
+def _compress_calls():
+    return sum(
+        m.value for m in get_registry().metrics()
+        if m.name == "repro_compress_calls_total"
+    )
+
+
+class TestMeasurementReuse:
+    def test_reused_measurement_reports_like_a_fresh_dump(self, sample):
+        def node():
+            return SimulatedNode(BROADWELL_D1548, seed=3)
+
+        measurement = measure_ratio(SZCompressor(), sample, 1e-2)
+        before = _compress_calls()
+        reused = DataDumper(node(), repeats=1).dump(
+            SZCompressor(), sample, 1e-2, int(10e9), measurement=measurement
+        )
+        assert _compress_calls() == before
+        fresh = DataDumper(node(), repeats=1).dump(
+            SZCompressor(), sample, 1e-2, int(10e9)
+        )
+        assert reused == fresh
+        assert measurement.ratio == fresh.compression_ratio
+
+    def test_chunked_measurement_carries_slab_stats(self, sample):
+        measurement = measure_ratio(
+            SZCompressor(), sample, 1e-2, chunk_bytes=1 << 12, executor="serial"
+        )
+        assert len(measurement.buffer.chunks) == measurement.parallel.n_tasks > 1
+        dumper = DataDumper(
+            SimulatedNode(BROADWELL_D1548, seed=0), repeats=1,
+            chunk_bytes=1 << 12, executor="serial",
+        )
+        rep = dumper.dump(SZCompressor(), sample, 1e-2, int(10e9),
+                          measurement=measurement)
+        assert rep.parallel is measurement.parallel
+
+    @pytest.mark.parametrize("codec, bound", [
+        (ZFPCompressor(), 1e-2),
+        (SZCompressor(), 1e-3),
+    ])
+    def test_measurement_of_another_codec_or_bound_is_rejected(
+        self, dumper, sample, codec, bound
+    ):
+        measurement = measure_ratio(SZCompressor(), sample, 1e-2)
+        with pytest.raises(ValueError, match="cannot serve"):
+            dumper.dump(codec, sample, bound, int(10e9),
+                        measurement=measurement)

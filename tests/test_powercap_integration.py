@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.cache import fingerprint
+from repro.cache import ResultCache, fingerprint, use_cache
 from repro.cache.serialization import encode_value
 from repro.compressors import SZCompressor
 from repro.hardware.cpu import BROADWELL_D1548
@@ -178,12 +178,14 @@ class TestCappedCampaigns:
             CampaignPoint(error_bound=1e-3),
         )
         kw = dict(repeats=1, seed=0, power_budget_w=18.0)
-        baseline = run_campaign_sweep(
-            CPU, SZCompressor(), field, points, campaign,
-            executor="serial", **kw)
-        under_test = run_campaign_sweep(
-            CPU, SZCompressor(), field, points, campaign,
-            executor=EXECUTOR, **kw)
+        # Uncached, or the second sweep would replay the first's entries.
+        with use_cache(ResultCache(enabled=False)):
+            baseline = run_campaign_sweep(
+                CPU, SZCompressor(), field, points, campaign,
+                executor="serial", **kw)
+            under_test = run_campaign_sweep(
+                CPU, SZCompressor(), field, points, campaign,
+                executor=EXECUTOR, **kw)
         assert encode_value(list(under_test)) == encode_value(list(baseline))
 
     def test_sweep_budget_fills_only_unset_points(self, field, campaign):

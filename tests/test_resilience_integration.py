@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.cache import ResultCache, use_cache
 from repro.compressors import SZCompressor
 from repro.hardware.cpu import get_cpu
 from repro.hardware.node import SimulatedNode
@@ -52,10 +53,13 @@ GOLDEN_POINTS = (CampaignPoint(error_bound=1e-2),
 
 
 def golden_sweep(executor="serial", workers=None):
-    return run_campaign_sweep(
-        CPU, "sz", FIELD, GOLDEN_POINTS, CAMPAIGN, repeats=1, seed=0,
-        executor=executor, workers=workers, fault_plan=GOLDEN_PLAN,
-    )
+    # Uncached, so every backend really runs (a warm process cache
+    # would serve one run's entries to the next).
+    with use_cache(ResultCache(enabled=False)):
+        return run_campaign_sweep(
+            CPU, "sz", FIELD, GOLDEN_POINTS, CAMPAIGN, repeats=1, seed=0,
+            executor=executor, workers=workers, fault_plan=GOLDEN_PLAN,
+        )
 
 
 class TestAcceptanceScenario:
