@@ -46,7 +46,8 @@ def _ensure_registered() -> None:
     from repro.hardware.perf import PowerSample
     from repro.hardware.workload import Workload, WorkloadKind
     from repro.iosim.cluster import ClusterDumpReport
-    from repro.iosim.dumper import DumpReport, StageReport
+    from repro.iosim.dumper import DumpReport
+    from repro.iosim.stage import StageReport
     from repro.iosim.nfs import NfsTarget
     from repro.powercap.controller import PowercapReport
     from repro.parallel.instrumentation import ParallelStats, TaskStat

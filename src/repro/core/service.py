@@ -20,7 +20,7 @@ from repro.core.persistence import ModelBundle
 from repro.core.power_model import PowerModel
 from repro.core.runtime_model import RuntimeModel
 from repro.core.tuning import TuningPolicy
-from repro.hardware.cpu import CpuSpec, get_cpu
+from repro.hardware.cpu import get_cpu
 
 __all__ = ["StageDecision", "TuningService"]
 
@@ -97,10 +97,9 @@ class TuningService:
         cpu = get_cpu(arch)
         power, runtime = self._models(arch, stage)
         if policy is not None:
-            from repro.hardware.workload import WorkloadKind
+            from repro.hardware.workload import stage_kind
 
-            kind = WorkloadKind.COMPRESS_SZ if stage == "compress" else WorkloadKind.WRITE
-            freq = policy.frequency_for(cpu, kind)
+            freq = policy.frequency_for(cpu, stage_kind(stage))
             label = policy.name
         else:
             freq = optimal_frequency(power, runtime, cpu, objective)

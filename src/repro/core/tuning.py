@@ -9,14 +9,13 @@ writing at ``0.85·f_max``. :data:`PAPER_POLICY` encodes that rule;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.core.power_model import PowerModel
 from repro.core.runtime_model import RuntimeModel
 from repro.hardware.cpu import CpuSpec
-from repro.hardware.workload import WorkloadKind
+from repro.hardware.workload import WorkloadKind, stage_kind
 from repro.utils.validation import check_in_range
 
 __all__ = [
@@ -144,8 +143,7 @@ def _recommend(
     policy: TuningPolicy | None,
 ) -> TuningRecommendation:
     if policy is not None:
-        kind = WorkloadKind.COMPRESS_SZ if stage == "compress" else WorkloadKind.WRITE
-        freq = policy.frequency_for(cpu, kind)
+        freq = policy.frequency_for(cpu, stage_kind(stage))
     else:
         freq = optimal_energy_frequency(power_model, runtime_model, cpu)
 

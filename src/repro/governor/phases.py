@@ -45,11 +45,24 @@ _PHASE_FOR_KIND = {
 }
 
 #: Span-name prefixes from the pipeline/iosim tracers, most specific
-#: first — ``dump.compress`` must win over ``dump``.
+#: first — ``dump.compress`` must win over ``dump``. Every modeled
+#: stage span (:func:`repro.iosim.stage.run_stage`) maps to the phase
+#: of its workload kind.
 _SPAN_PREFIXES: Tuple[Tuple[str, Phase], ...] = (
     ("dump.compress", Phase.COMPRESS),
     ("dump.ratio", Phase.COMPRESS),
     ("dump.write", Phase.WRITE),
+    ("cluster.compress", Phase.COMPRESS),
+    ("cluster.write", Phase.WRITE),
+    ("tiered.compress", Phase.COMPRESS),
+    ("tiered.absorb", Phase.WRITE),
+    ("tiered.drain", Phase.WRITE),
+    ("snapshot.compress", Phase.COMPRESS),
+    ("snapshot.write", Phase.WRITE),
+    ("restore.decompress", Phase.COMPRESS),
+    ("restore.read", Phase.WRITE),
+    ("governed.compress", Phase.COMPRESS),
+    ("governed.write", Phase.WRITE),
     ("chunk.", Phase.COMPRESS),
     ("sz.", Phase.COMPRESS),
     ("zfp.", Phase.COMPRESS),

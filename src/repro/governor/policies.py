@@ -39,7 +39,7 @@ from repro.core.tuning import PAPER_POLICY, TuningPolicy
 from repro.governor.phases import Phase
 from repro.governor.telemetry import TelemetryBus, TelemetrySample
 from repro.hardware.cpu import CpuSpec
-from repro.hardware.workload import FREQUENCY_SENSITIVITY, WorkloadKind
+from repro.hardware.workload import FREQUENCY_SENSITIVITY, stage_kind
 
 __all__ = [
     "DEFAULT_SLOWDOWN_BUDGETS",
@@ -67,15 +67,6 @@ DEFAULT_SLOWDOWN_BUDGETS: Dict[Phase, float] = {
 #: sub-percent energy flatness of the calibrated write curve so fit
 #: noise cannot bounce the decision around.
 DEFAULT_HYSTERESIS = 0.02
-
-#: Workload kind each phase is modeled as (SZ is the paper's headline
-#: codec; pure I/O phases behave like writes).
-PHASE_KIND: Dict[Phase, WorkloadKind] = {
-    Phase.COMPRESS: WorkloadKind.COMPRESS_SZ,
-    Phase.WRITE: WorkloadKind.WRITE,
-    Phase.IDLE: WorkloadKind.WRITE,
-}
-
 
 def choose_frequency(
     grid: Sequence[float],
@@ -284,7 +275,7 @@ class StaticGovernor(Governor):
         self.policy = policy
 
     def _decide(self, phase: Phase) -> Tuple[float, str]:
-        kind = PHASE_KIND[phase]
+        kind = stage_kind(phase.value)
         return self.policy.frequency_for(self.cpu, kind), "static"
 
 
@@ -318,7 +309,7 @@ class OracleGovernor(Governor):
     def _decide(self, phase: Phase) -> Tuple[float, str]:
         choice = self._choices.get(phase)
         if choice is None:
-            kind = PHASE_KIND[phase]
+            kind = stage_kind(phase.value)
             fmax = self.cpu.fmax_ghz
             p_ref = self.power_curve.power_watts(self.cpu, fmax, kind)
             sens = FREQUENCY_SENSITIVITY[(kind, self.cpu.arch)]

@@ -16,7 +16,6 @@ decisions, not their measurement luck.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.governor.phases import Phase
 from repro.governor.policies import Governor, GovernorReport
@@ -26,6 +25,7 @@ from repro.hardware.workload import (
     compression_workload,
     write_workload,
 )
+from repro.iosim.stage import resolve_stage_frequency, run_stage
 
 __all__ = ["GovernedIOResult", "simulate_governed_io"]
 
@@ -86,9 +86,11 @@ def simulate_governed_io(
             (Phase.COMPRESS, compress_wl),
             (Phase.WRITE, write_wl),
         ):
-            freq = governor.decide(phase)
-            node.set_frequency(freq)
-            measured = node.run(workload)
+            freq = resolve_stage_frequency(node.cpu, phase, governor=governor)
+            measured = run_stage(
+                node, workload, freq, 1, phase.value,
+                workload.bytes_processed, f"governed.{phase.value}",
+            )
             governor.observe(
                 phase,
                 measured.freq_ghz,

@@ -38,6 +38,8 @@ __all__ = [
     "write_workload",
     "read_workload",
     "error_bound_work_factor",
+    "CODECS",
+    "stage_kind",
 ]
 
 
@@ -69,6 +71,40 @@ class WorkloadKind(enum.Enum):
     def is_codec(self) -> bool:
         """Codec stages (compression or decompression) vs. pure I/O."""
         return self.is_compression or self.is_decompression
+
+
+#: Codecs with a workload model.
+CODECS = ("sz", "zfp")
+
+#: Workload kind of each I/O stage, by codec for the codec stages. A
+#: compress stage that names no codec is modeled as SZ, the paper's
+#: headline codec; an idle node is costed on the write path.
+_STAGE_KINDS = {
+    ("compress", None): WorkloadKind.COMPRESS_SZ,
+    ("compress", "sz"): WorkloadKind.COMPRESS_SZ,
+    ("compress", "zfp"): WorkloadKind.COMPRESS_ZFP,
+    ("decompress", "sz"): WorkloadKind.DECOMPRESS_SZ,
+    ("decompress", "zfp"): WorkloadKind.DECOMPRESS_ZFP,
+    ("write", None): WorkloadKind.WRITE,
+    ("read", None): WorkloadKind.READ,
+    ("idle", None): WorkloadKind.WRITE,
+}
+
+
+def stage_kind(stage: str, codec: "str | None" = None) -> WorkloadKind:
+    """The workload kind an I/O *stage* runs as.
+
+    *codec* selects the kind of a ``compress`` or ``decompress`` stage
+    and is ignored by the I/O stages (``write``, ``read``, ``idle``).
+    Raises :class:`KeyError` for a codec or stage with no model.
+    """
+    if stage not in ("compress", "decompress"):
+        codec = None
+    try:
+        return _STAGE_KINDS[stage, codec]
+    except KeyError:
+        what = f"stage {stage!r}" if codec is None else f"codec {codec!r}"
+        raise KeyError(f"no workload kind for {what}") from None
 
 
 #: Leading-loads compute fraction per (kind, arch). Calibration (§V):

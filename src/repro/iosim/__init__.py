@@ -8,11 +8,11 @@ compress-then-write pipeline of Section VI-B.
 
 from repro.iosim.nfs import NfsTarget
 from repro.iosim.transit import TransitExperiment, transit_workload
+from repro.iosim.stage import StageReport
 from repro.iosim.dumper import (
     DataDumper,
     DumpReport,
     RatioMeasurement,
-    StageReport,
     measure_ratio,
 )
 from repro.iosim.loader import DataLoader, RestoreReport

@@ -20,17 +20,13 @@ import numpy as np
 
 from repro.compressors.base import Compressor
 from repro.hardware.node import SimulatedNode
-from repro.hardware.workload import WorkloadKind, compression_workload, write_workload
-from repro.iosim.dumper import StageReport
+from repro.hardware.workload import compression_workload, stage_kind, write_workload
+from repro.iosim.dumper import measure_ratio
 from repro.iosim.nfs import NfsTarget
+from repro.iosim.stage import StageReport, resolve_stage_frequency, run_stage
 from repro.utils.validation import check_positive
 
 __all__ = ["BurstBufferTarget", "TieredDumpReport", "TieredDumper"]
-
-_KIND_BY_CODEC = {
-    "sz": WorkloadKind.COMPRESS_SZ,
-    "zfp": WorkloadKind.COMPRESS_ZFP,
-}
 
 
 @dataclass(frozen=True)
@@ -89,17 +85,6 @@ class TieredDumper:
         self.nfs = nfs if nfs is not None else NfsTarget()
         self.repeats = int(repeats)
 
-    def _run_stage(self, workload, freq_ghz: float) -> StageReport:
-        self.node.set_frequency(freq_ghz)
-        runs = [self.node.run(workload) for _ in range(self.repeats)]
-        return StageReport(
-            stage=workload.name,
-            freq_ghz=runs[0].freq_ghz,
-            bytes_processed=workload.bytes_processed,
-            runtime_s=float(np.mean([m.runtime_s for m in runs])),
-            energy_j=float(np.mean([m.energy_j for m in runs])),
-        )
-
     def dump(
         self,
         compressor: Compressor,
@@ -121,31 +106,32 @@ class TieredDumper:
         site's energy-optimal write frequency for the real deployment.
         """
         check_positive(target_bytes, "target_bytes")
-        if compressor.name not in _KIND_BY_CODEC:
-            raise KeyError(f"no workload kind for codec {compressor.name!r}")
-        cpu = self.node.cpu
-        f_c = cpu.fmax_ghz if compress_freq_ghz is None else compress_freq_ghz
-        f_a = cpu.fmax_ghz if absorb_freq_ghz is None else absorb_freq_ghz
-        f_d = cpu.fmax_ghz if drain_freq_ghz is None else drain_freq_ghz
-
-        buf = compressor.compress(sample_field, error_bound)
-        ratio = buf.ratio
+        kind = stage_kind("compress", compressor.name)
+        ratio = measure_ratio(compressor, sample_field, error_bound).ratio
         compressed = max(1, int(round(target_bytes / ratio)))
 
-        wl_c = compression_workload(
-            _KIND_BY_CODEC[compressor.name], target_bytes, error_bound,
-            name="tiered-compress",
-        )
-        wl_absorb = write_workload(
-            compressed, self.bb.effective_bandwidth_bps(), name="bb-absorb"
-        )
-        wl_drain = write_workload(
-            compressed, self.nfs.effective_bandwidth_bps(), name="nfs-drain"
+        compress, absorb, drain = (
+            run_stage(
+                self.node, workload,
+                resolve_stage_frequency(self.node.cpu, phase, pinned),
+                self.repeats, workload.name, workload.bytes_processed, span,
+            )
+            for span, phase, pinned, workload in (
+                ("tiered.compress", "compress", compress_freq_ghz,
+                 compression_workload(
+                     kind, target_bytes, error_bound, name="tiered-compress")),
+                ("tiered.absorb", "write", absorb_freq_ghz, write_workload(
+                    compressed, self.bb.effective_bandwidth_bps(),
+                    name="bb-absorb")),
+                ("tiered.drain", "write", drain_freq_ghz, write_workload(
+                    compressed, self.nfs.effective_bandwidth_bps(),
+                    name="nfs-drain")),
+            )
         )
         return TieredDumpReport(
-            compress=self._run_stage(wl_c, f_c),
-            absorb=self._run_stage(wl_absorb, f_a),
-            drain=self._run_stage(wl_drain, f_d),
+            compress=compress,
+            absorb=absorb,
+            drain=drain,
             compression_ratio=ratio,
             error_bound=error_bound,
         )

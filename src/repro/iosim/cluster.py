@@ -29,21 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.compressors.base import Compressor
 from repro.hardware.cpu import CpuSpec
 from repro.hardware.node import SimulatedNode
-from repro.hardware.workload import (
-    WorkloadKind,
-    compression_workload,
-    write_workload,
-)
-from repro.iosim.dumper import DumpReport, StageReport
+from repro.hardware.workload import compression_workload, stage_kind, write_workload
+from repro.iosim.dumper import DumpReport, measure_ratio
 from repro.iosim.nfs import NfsTarget
+from repro.iosim.stage import resolve_stage_frequency, run_stage
 from repro.utils.validation import check_positive
 
 __all__ = ["ClusterDumpReport", "Cluster", "SimulatedCluster"]
-
-_KIND_BY_CODEC = {
-    "sz": WorkloadKind.COMPRESS_SZ,
-    "zfp": WorkloadKind.COMPRESS_ZFP,
-}
 
 
 @dataclass(frozen=True)
@@ -54,7 +46,7 @@ class ClusterDumpReport:
     nodes: int
     cpu_bound_fraction: float
     #: Sealed power-cap receipt when the dump ran under a watt budget
-    #: (:class:`SimulatedCluster` with ``power_budget_w``), else None.
+    #: (``power_budget_w``), else None.
     powercap: Optional["PowercapReport"] = None
 
     @property
@@ -78,110 +70,12 @@ class ClusterDumpReport:
         return total_bytes / write_time
 
 
-class Cluster:
-    """N identical simulated nodes sharing one NFS target."""
+class SimulatedCluster:
+    """N identical simulated nodes sharing one NFS target, optionally
+    under a fleet-wide watt budget and per-node governors.
 
-    def __init__(
-        self,
-        cpu: CpuSpec,
-        n_nodes: int,
-        nfs: Optional[NfsTarget] = None,
-        seed: int = 0,
-        repeats: int = 5,
-    ) -> None:
-        if n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-        if repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {repeats}")
-        self.nfs = nfs if nfs is not None else NfsTarget()
-        self.nodes = tuple(
-            SimulatedNode(cpu, seed=seed + i) for i in range(n_nodes)
-        )
-        self.repeats = int(repeats)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    def _run_stage(self, node: SimulatedNode, workload, freq_ghz: float):
-        node.set_frequency(freq_ghz)
-        runs = [node.run(workload) for _ in range(self.repeats)]
-        runtime = float(np.mean([m.runtime_s for m in runs]))
-        energy = float(np.mean([m.energy_j for m in runs]))
-        return runs[0].freq_ghz, runtime, energy
-
-    def dump_all(
-        self,
-        compressor: Compressor,
-        sample_field: np.ndarray,
-        error_bound: float,
-        bytes_per_node: int,
-        compress_freq_ghz: float | None = None,
-        write_freq_ghz: float | None = None,
-    ) -> ClusterDumpReport:
-        """Every node compresses and writes *bytes_per_node* concurrently.
-
-        Frequencies default to the base clock; the same pinned values
-        apply cluster-wide (the realistic deployment: one tuning policy
-        rolled out fleet-wide).
-        """
-        check_positive(bytes_per_node, "bytes_per_node")
-        if compressor.name not in _KIND_BY_CODEC:
-            raise KeyError(f"no workload kind for codec {compressor.name!r}")
-
-        buf = compressor.compress(sample_field, error_bound)
-        ratio = buf.ratio
-        compressed_bytes = max(1, int(round(bytes_per_node / ratio)))
-
-        n = self.n_nodes
-        bw = self.nfs.effective_bandwidth_bps(concurrent_clients=n)
-        cpu_frac = self.nfs.cpu_bound_fraction(concurrent_clients=n)
-
-        reports = []
-        for i, node in enumerate(self.nodes):
-            cpu = node.cpu
-            f_c = cpu.fmax_ghz if compress_freq_ghz is None else compress_freq_ghz
-            f_w = cpu.fmax_ghz if write_freq_ghz is None else write_freq_ghz
-
-            wl_c = compression_workload(
-                _KIND_BY_CODEC[compressor.name], bytes_per_node, error_bound,
-                name=f"{compressor.name}-cluster-dump",
-            )
-            fc, t_c, e_c = self._run_stage(node, wl_c, f_c)
-
-            wl_w = write_workload(compressed_bytes, bw, name=f"cluster-write/{n}")
-            # Contention derates how much the client CPU matters.
-            base_s = wl_w.sensitivity(cpu)
-            wl_w = replace(wl_w, sensitivity_override=base_s * cpu_frac)
-            fw, t_w, e_w = self._run_stage(node, wl_w, f_w)
-
-            reports.append(
-                DumpReport(
-                    compress=StageReport(
-                        stage="compress", freq_ghz=fc,
-                        bytes_processed=bytes_per_node,
-                        runtime_s=t_c, energy_j=e_c,
-                    ),
-                    write=StageReport(
-                        stage="write", freq_ghz=fw,
-                        bytes_processed=compressed_bytes,
-                        runtime_s=t_w, energy_j=e_w,
-                    ),
-                    compression_ratio=ratio,
-                    error_bound=error_bound,
-                )
-            )
-        return ClusterDumpReport(
-            per_node=tuple(reports), nodes=n, cpu_bound_fraction=cpu_frac
-        )
-
-
-class SimulatedCluster(Cluster):
-    """A :class:`Cluster` under an optional fleet-wide watt budget.
-
-    With ``power_budget_w=None`` (and no governor) every call takes
-    :class:`Cluster`'s exact code path, so reports are bit-identical to
-    the uncapped cluster. With a budget, a
+    Node *i* runs on its own RNG (``seed + i``), so a fleet dump is N
+    node dumps played phase-major. With ``power_budget_w`` set, a
     :class:`~repro.powercap.controller.ClusterCapController` splits
     ``budget - nfs_reserve`` watts across the nodes, re-solving at the
     compress -> write phase boundary from the per-node power telemetry
@@ -190,6 +84,8 @@ class SimulatedCluster(Cluster):
     from :data:`repro.governor.GOVERNOR_KINDS`), each node runs its own
     governor and the caps flow through ``Governor.decide(cap_ghz=...)``
     — infeasible caps surface as ``capped_below_fmin`` trace tags.
+    :data:`Cluster` is this class; with neither option every node runs
+    at the pinned clocks (or the base clock).
     """
 
     def __init__(
@@ -206,7 +102,15 @@ class SimulatedCluster(Cluster):
         work_weights: Optional[Sequence[float]] = None,
         governor: Optional[str] = None,
     ) -> None:
-        super().__init__(cpu, n_nodes, nfs=nfs, seed=seed, repeats=repeats)
+        if n_nodes < 1:
+            raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+        if repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {repeats}")
+        self.nfs = nfs if nfs is not None else NfsTarget()
+        self.nodes = tuple(
+            SimulatedNode(cpu, seed=seed + i) for i in range(n_nodes)
+        )
+        self.repeats = int(repeats)
         self.node_ids = tuple(f"node{i:03d}" for i in range(self.n_nodes))
         self.controller = None
         self._governors = None
@@ -252,23 +156,9 @@ class SimulatedCluster(Cluster):
                     node_id, node.cpu, node.power_curve, work=work
                 )
 
-    def _stage_frequency(
-        self,
-        index: int,
-        phase: str,
-        pinned: Optional[float],
-        cap,
-    ) -> float:
-        cpu = self.nodes[index].cpu
-        if self._governors is not None:
-            cap_ghz = None if cap is None else cap.governor_cap_ghz
-            return self._governors[index].decide(phase, cap_ghz=cap_ghz)
-        freq = cpu.fmax_ghz if pinned is None else pinned
-        if cap is not None:
-            # An infeasible cap (governor_cap_ghz == 0.0) still clamps
-            # to the DVFS floor — the node cannot clock lower.
-            freq = min(freq, max(cap.governor_cap_ghz, cpu.fmin_ghz))
-        return freq
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes)
 
     def dump_all(
         self,
@@ -279,15 +169,18 @@ class SimulatedCluster(Cluster):
         compress_freq_ghz: float | None = None,
         write_freq_ghz: float | None = None,
     ) -> ClusterDumpReport:
-        if self.controller is None and self._governors is None:
-            return super().dump_all(
-                compressor, sample_field, error_bound, bytes_per_node,
-                compress_freq_ghz=compress_freq_ghz,
-                write_freq_ghz=write_freq_ghz,
-            )
+        """Every node compresses and writes *bytes_per_node* concurrently.
+
+        Frequencies default to the base clock; the same pinned values
+        apply cluster-wide (the realistic deployment: one tuning policy
+        rolled out fleet-wide). Each phase runs fleet-wide before the
+        next: a capped fleet opens the phase's allocation epoch, then
+        each node resolves its clock, runs its stage and feeds its
+        governor and the controller. Every node of the fleet must still
+        be a member of its controller.
+        """
         check_positive(bytes_per_node, "bytes_per_node")
-        if compressor.name not in _KIND_BY_CODEC:
-            raise KeyError(f"no workload kind for codec {compressor.name!r}")
+        kind = stage_kind("compress", compressor.name)
         if self._governors is not None and (
             compress_freq_ghz is not None or write_freq_ghz is not None
         ):
@@ -295,86 +188,79 @@ class SimulatedCluster(Cluster):
                 "cannot pin stage frequencies and run per-node governors "
                 "at the same time"
             )
+        if self.controller is not None:
+            departed = sorted(
+                set(self.node_ids) - set(self.controller.node_ids())
+            )
+            if departed:
+                raise ValueError(
+                    f"nodes {departed} left the power-cap controller; "
+                    "re-join them before dumping"
+                )
 
-        buf = compressor.compress(sample_field, error_bound)
-        ratio = buf.ratio
+        ratio = measure_ratio(compressor, sample_field, error_bound).ratio
         compressed_bytes = max(1, int(round(bytes_per_node / ratio)))
 
         n = self.n_nodes
         bw = self.nfs.effective_bandwidth_bps(concurrent_clients=n)
         cpu_frac = self.nfs.cpu_bound_fraction(concurrent_clients=n)
+        wl_c = compression_workload(
+            kind, bytes_per_node, error_bound,
+            name=f"{compressor.name}-cluster-dump",
+        )
+        wl_w = write_workload(compressed_bytes, bw, name=f"cluster-write/{n}")
+        # Contention derates how much the client CPU matters.
+        base_s = wl_w.sensitivity(self.nodes[0].cpu)
+        wl_w = replace(wl_w, sensitivity_override=base_s * cpu_frac)
 
-        # Compress phase, synchronized across the fleet. (Stages are
-        # independent per node, so running them phase-major changes no
-        # per-node RNG draws versus the uncapped node-major loop.)
-        caps = None
-        if self.controller is not None:
-            caps = self.controller.begin_phase("compress")
-        compress_results = []
-        for i, (node_id, node) in enumerate(zip(self.node_ids, self.nodes)):
-            f_c = self._stage_frequency(
-                i, "compress", compress_freq_ghz,
-                None if caps is None else caps[node_id],
-            )
-            wl_c = compression_workload(
-                _KIND_BY_CODEC[compressor.name], bytes_per_node, error_bound,
-                name=f"{compressor.name}-cluster-dump",
-            )
-            fc, t_c, e_c = self._run_stage(node, wl_c, f_c)
-            if self._governors is not None:
-                self._governors[i].observe(
-                    "compress", fc, e_c / t_c, t_c, bytes_per_node
-                )
-            if self.controller is not None:
-                self.controller.record_demand(node_id, e_c / t_c)
-            compress_results.append((fc, t_c, e_c))
-
-        # Write phase: the phase boundary is an allocation epoch — the
-        # controller re-solves against the write-path power curve and
-        # the demand telemetry streamed during compression.
-        if self.controller is not None:
-            caps = self.controller.begin_phase("write")
-        write_results = []
-        for i, (node_id, node) in enumerate(zip(self.node_ids, self.nodes)):
-            f_w = self._stage_frequency(
-                i, "write", write_freq_ghz,
-                None if caps is None else caps[node_id],
-            )
-            wl_w = write_workload(compressed_bytes, bw, name=f"cluster-write/{n}")
-            base_s = wl_w.sensitivity(node.cpu)
-            wl_w = replace(wl_w, sensitivity_override=base_s * cpu_frac)
-            fw, t_w, e_w = self._run_stage(node, wl_w, f_w)
-            if self._governors is not None:
-                self._governors[i].observe(
-                    "write", fw, e_w / t_w, t_w, compressed_bytes
-                )
-            if self.controller is not None:
-                self.controller.record_demand(node_id, e_w / t_w)
-            write_results.append((fw, t_w, e_w))
-
-        reports = []
-        for (fc, t_c, e_c), (fw, t_w, e_w) in zip(
-            compress_results, write_results
+        stages = []
+        for phase, pinned, nbytes, workload in (
+            ("compress", compress_freq_ghz, bytes_per_node, wl_c),
+            ("write", write_freq_ghz, compressed_bytes, wl_w),
         ):
-            reports.append(
-                DumpReport(
-                    compress=StageReport(
-                        stage="compress", freq_ghz=fc,
-                        bytes_processed=bytes_per_node,
-                        runtime_s=t_c, energy_j=e_c,
-                    ),
-                    write=StageReport(
-                        stage="write", freq_ghz=fw,
-                        bytes_processed=compressed_bytes,
-                        runtime_s=t_w, energy_j=e_w,
-                    ),
-                    compression_ratio=ratio,
-                    error_bound=error_bound,
+            # The phase boundary is an allocation epoch: the controller
+            # re-solves against the phase's power curve and the demand
+            # telemetry streamed during the previous phase.
+            caps = None
+            if self.controller is not None:
+                caps = self.controller.begin_phase(phase)
+            reports = []
+            for i, (node_id, node) in enumerate(zip(self.node_ids, self.nodes)):
+                governor = None if self._governors is None else self._governors[i]
+                freq = resolve_stage_frequency(
+                    node.cpu, phase, pinned, governor,
+                    None if caps is None else caps[node_id].governor_cap_ghz,
                 )
-            )
+                report = run_stage(
+                    node, workload, freq, self.repeats, phase, nbytes,
+                    f"cluster.{phase}", node_id=node_id,
+                )
+                if governor is not None:
+                    governor.observe(
+                        phase, report.freq_ghz, report.power_w,
+                        report.runtime_s, nbytes,
+                    )
+                if self.controller is not None:
+                    self.controller.record_demand(node_id, report.power_w)
+                reports.append(report)
+            stages.append(reports)
+
         return ClusterDumpReport(
-            per_node=tuple(reports), nodes=n, cpu_bound_fraction=cpu_frac,
+            per_node=tuple(
+                DumpReport(
+                    compress=compress, write=write,
+                    compression_ratio=ratio, error_bound=error_bound,
+                )
+                for compress, write in zip(*stages)
+            ),
+            nodes=n,
+            cpu_bound_fraction=cpu_frac,
             powercap=(
                 None if self.controller is None else self.controller.report()
             ),
         )
+
+
+#: The plain fleet: a :class:`SimulatedCluster` with no budget and no
+#: governors.
+Cluster = SimulatedCluster

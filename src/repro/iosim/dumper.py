@@ -9,18 +9,21 @@ ratio; costs then extrapolate linearly in bytes to the target size
 
 The ratio depends only on the codec, the sample, the bound and the
 chunking, not on clocks, governors, budgets or snapshot indices, so
-:func:`measure_ratio` takes it once and :meth:`DataDumper.dump` accepts
-the resulting :class:`RatioMeasurement`: a campaign, or a baseline and
-a tuned dump of the same sample, pay for the codec once. With
-*chunk_bytes* set, the measurement shards the sample field into slabs
-and runs them through a :mod:`repro.parallel` executor; the per-slab
-timing lands on :attr:`DumpReport.parallel` so scaling can be tracked
-alongside the energy numbers.
+:func:`measure_ratio` sets up one :class:`RatioMeasurement` that
+:meth:`DataDumper.dump` accepts: a campaign, or a baseline and a tuned
+dump of the same sample, pay for the codec once. The codec runs on the
+measurement's first read, so a measurement that every dump replaces
+(each of them crashes slabs) costs nothing. With *chunk_bytes* set, the
+measurement shards the sample field into slabs and runs them through a
+:mod:`repro.parallel` executor; the per-slab timing lands on
+:attr:`DumpReport.parallel` so scaling can be tracked alongside the
+energy numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 import numpy as np
@@ -28,8 +31,9 @@ import numpy as np
 from repro.compressors.base import CompressedBuffer, Compressor
 from repro.compressors.chunked import ChunkedBuffer, ChunkedCompressor
 from repro.hardware.node import SimulatedNode
-from repro.hardware.workload import WorkloadKind, compression_workload
+from repro.hardware.workload import compression_workload, stage_kind
 from repro.iosim.nfs import NfsTarget
+from repro.iosim.stage import StageReport, resolve_stage_frequency, run_stage
 from repro.iosim.transit import transit_workload
 from repro.observability import get_registry, get_tracer
 from repro.parallel import Executor, ParallelStats
@@ -42,32 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.resilience.report import SnapshotResilience
 
 __all__ = [
-    "StageReport",
     "DumpReport",
     "DataDumper",
     "RatioMeasurement",
     "measure_ratio",
 ]
-
-_KIND_BY_CODEC = {
-    "sz": WorkloadKind.COMPRESS_SZ,
-    "zfp": WorkloadKind.COMPRESS_ZFP,
-}
-
-
-@dataclass(frozen=True)
-class StageReport:
-    """Energy/runtime outcome of one pipeline stage."""
-
-    stage: str
-    freq_ghz: float
-    bytes_processed: int
-    runtime_s: float
-    energy_j: float
-
-    @property
-    def power_w(self) -> float:
-        return self.energy_j / self.runtime_s
 
 
 @dataclass(frozen=True)
@@ -97,16 +80,42 @@ class DumpReport:
         return self.compress.runtime_s + self.write.runtime_s + extra
 
 
-@dataclass(frozen=True)
 class RatioMeasurement:
-    """A sample field compressed once: the codec and bound it ran at,
-    the buffer and, for a chunked measurement, its per-slab timing."""
+    """A sample field's compression at one codec and bound, whole or
+    (with :attr:`chunked` set) in slabs.
 
-    codec: str
-    error_bound: float
-    buffer: "CompressedBuffer | ChunkedBuffer"
-    #: ``None`` when the sample was compressed monolithically.
-    parallel: Optional[ParallelStats] = None
+    The codec runs on the first read of :attr:`buffer`, :attr:`parallel`
+    or :attr:`ratio`; later reads return the same result.
+    """
+
+    def __init__(
+        self,
+        compressor: Compressor,
+        sample_field: np.ndarray,
+        error_bound: float,
+        chunked: Optional[ChunkedCompressor] = None,
+    ) -> None:
+        self.codec = compressor.name
+        self.error_bound = float(error_bound)
+        self.sample_field = sample_field
+        self.chunked = chunked
+        self._compressor = compressor
+
+    @cached_property
+    def _result(self):
+        if self.chunked is None:
+            return self._compressor.compress(self.sample_field, self.error_bound), None
+        buf = self.chunked.compress(self.sample_field, self.error_bound)
+        return buf, self.chunked.last_stats
+
+    @property
+    def buffer(self) -> "CompressedBuffer | ChunkedBuffer":
+        return self._result[0]
+
+    @property
+    def parallel(self) -> Optional[ParallelStats]:
+        """Per-slab timing; ``None`` for a monolithic measurement."""
+        return self._result[1]
 
     @property
     def ratio(self) -> float:
@@ -123,18 +132,16 @@ def measure_ratio(
     engine: Optional["ResilienceEngine"] = None,
     snapshot_index: int = 0,
 ) -> RatioMeasurement:
-    """Compress *sample_field* at *error_bound*, whole or (with
+    """Measure *sample_field* at *error_bound*, whole or (with
     *chunk_bytes*) in slabs through :class:`ChunkedCompressor` on
-    *executor*/*workers*.
+    *executor*/*workers*; the codec runs on the first read.
 
     An *engine* injects the slab crashes its plan schedules for
     *snapshot_index* and re-runs the crashed slabs within its retry
     budget; the re-run slabs land on ``parallel.retried_tasks``.
     """
-    error_bound = float(error_bound)
     if chunk_bytes is None:
-        buf = compressor.compress(sample_field, error_bound)
-        return RatioMeasurement(compressor.name, error_bound, buf)
+        return RatioMeasurement(compressor, sample_field, error_bound)
     chunked = ChunkedCompressor(
         compressor, max_chunk_bytes=chunk_bytes,
         executor=executor, workers=workers,
@@ -146,8 +153,7 @@ def measure_ratio(
         if wrapper.any_planned:
             chunked.retries = engine.policy.retry.max_attempts - 1
             chunked.slab_wrapper = wrapper
-    buf = chunked.compress(sample_field, error_bound)
-    return RatioMeasurement(compressor.name, error_bound, buf, chunked.last_stats)
+    return RatioMeasurement(compressor, sample_field, error_bound, chunked)
 
 
 def _slab_faults_planned(
@@ -155,10 +161,14 @@ def _slab_faults_planned(
     snapshot_index: int,
     measurement: RatioMeasurement,
 ) -> bool:
-    """Whether the plan crashes slabs of a chunked measurement here."""
-    if engine is None or measurement.parallel is None:
+    """Whether the plan crashes slabs of a chunked measurement here.
+
+    Counts the slabs without reading the measurement, so a snapshot
+    that measures again never forces the shared one to run.
+    """
+    if engine is None or measurement.chunked is None:
         return False
-    n_slabs = len(measurement.buffer.chunks)
+    n_slabs = measurement.chunked.slab_count(measurement.sample_field)
     return engine.injector.slab_wrapper(snapshot_index, n_slabs).any_planned
 
 
@@ -190,13 +200,6 @@ class DataDumper:
         self.executor = executor
         self.workers = workers
 
-    def _run_stage(self, workload, freq_ghz: float):
-        self.node.set_frequency(freq_ghz)
-        runs = [self.node.run(workload) for _ in range(self.repeats)]
-        runtime = float(np.mean([m.runtime_s for m in runs]))
-        energy = float(np.mean([m.energy_j for m in runs]))
-        return runs[0].freq_ghz, runtime, energy
-
     def dump(
         self,
         compressor: Compressor,
@@ -227,9 +230,9 @@ class DataDumper:
             This codec's :func:`measure_ratio` of *sample_field* at
             *error_bound*, with this dumper's chunking, to reuse instead
             of compressing again. A snapshot whose fault plan crashes
-            slabs still measures on its own, so the crashed slabs are
-            re-run and charged; bit flips are checked against the shared
-            buffer, which stays unmodified.
+            slabs measures on its own without reading it, so the crashed
+            slabs are re-run and charged; bit flips are checked against
+            the shared buffer, which stays unmodified.
         target_bytes:
             Full-experiment size (e.g. 512 GB) the costs extrapolate to.
         compress_freq_ghz / write_freq_ghz:
@@ -257,8 +260,7 @@ class DataDumper:
             the exact uncapped code path.
         """
         check_positive(target_bytes, "target_bytes")
-        if compressor.name not in _KIND_BY_CODEC:
-            raise KeyError(f"no workload kind for codec {compressor.name!r}")
+        kind = stage_kind("compress", compressor.name)
         if measurement is not None and (
             measurement.codec, measurement.error_bound
         ) != (compressor.name, float(error_bound)):
@@ -282,14 +284,14 @@ class DataDumper:
             target_bytes=int(target_bytes),
         ):
             return self._dump_traced(
-                compressor, sample_field, error_bound, target_bytes,
+                compressor, kind, sample_field, error_bound, target_bytes,
                 compress_freq_ghz, write_freq_ghz, tracer,
                 engine, int(snapshot_index), governor, phase_caps,
                 measurement,
             )
 
     def _dump_traced(
-        self, compressor, sample_field, error_bound, target_bytes,
+        self, compressor, kind, sample_field, error_bound, target_bytes,
         compress_freq_ghz, write_freq_ghz, tracer,
         engine=None, snapshot_index=0, governor=None, phase_caps=None,
         measurement=None,
@@ -328,73 +330,69 @@ class DataDumper:
 
         # A watt-budget phase cap merges with any thermal cap (the
         # tighter one binds). Budget caps may be 0.0 — "infeasible" —
-        # which a governor tags capped_below_fmin; pinned paths clamp
-        # back to the DVFS floor since the clock cannot go lower.
+        # which the stage-clock rule pins to fmin.
         budget_cap_c = None if phase_caps is None else phase_caps.get("compress")
         budget_cap_w = None if phase_caps is None else phase_caps.get("write")
         if budget_cap_c is not None:
             cap_freq = (
                 budget_cap_c if cap_freq is None else min(cap_freq, budget_cap_c)
             )
-
-        if governor is not None and compress_freq_ghz is None:
-            f_c = governor.decide("compress", cap_ghz=cap_freq)
-        else:
-            f_c = cpu.fmax_ghz if compress_freq_ghz is None else compress_freq_ghz
-            if cap_freq is not None:
-                f_c = min(f_c, max(cap_freq, cpu.fmin_ghz))
-        if governor is not None and write_freq_ghz is None:
-            f_w = governor.decide("write", cap_ghz=budget_cap_w)
-        else:
-            f_w = cpu.fmax_ghz if write_freq_ghz is None else write_freq_ghz
-            if budget_cap_w is not None:
-                f_w = min(f_w, max(budget_cap_w, cpu.fmin_ghz))
+        # Both clocks are decided before either stage runs.
+        f_c = resolve_stage_frequency(
+            cpu, "compress", compress_freq_ghz, governor, cap_freq
+        )
+        f_w = resolve_stage_frequency(
+            cpu, "write", write_freq_ghz, governor, budget_cap_w
+        )
 
         wl_c = compression_workload(
-            _KIND_BY_CODEC[compressor.name], target_bytes, error_bound,
-            name=f"{compressor.name}-dump",
+            kind, target_bytes, error_bound, name=f"{compressor.name}-dump"
         )
-        with tracer.span("dump.compress", bytes_in=int(target_bytes)) as sp:
-            fc_snapped, t_c, e_c = self._run_stage(wl_c, f_c)
-            sp.set(freq_ghz=fc_snapped, modeled_runtime_s=t_c, modeled_energy_j=e_c)
+        compress = run_stage(
+            self.node, wl_c, f_c, self.repeats, "compress", target_bytes,
+            "dump.compress", bytes_in=int(target_bytes),
+        )
 
         resilience: Optional["SnapshotResilience"] = None
         if engine is None:
             wl_w = transit_workload(compressed_bytes, self.nfs, name="dump-write")
-            with tracer.span("dump.write", bytes_in=compressed_bytes) as sp:
-                fw_snapped, t_w, e_w = self._run_stage(wl_w, f_w)
-                sp.set(freq_ghz=fw_snapped, modeled_runtime_s=t_w,
-                       modeled_energy_j=e_w)
-            write_stage = "write"
+            write = run_stage(
+                self.node, wl_w, f_w, self.repeats, "write", compressed_bytes,
+                "dump.write", bytes_in=compressed_bytes,
+            )
         else:
             with tracer.span("dump.write", bytes_in=compressed_bytes) as sp:
-                write_stage, fw_snapped, t_w, e_w, resilience = engine.run_write(
+                write, resilience = engine.run_write(
                     self.node, self.nfs, compressed_bytes, f_w,
-                    snapshot_index, self._run_stage,
+                    snapshot_index, self.repeats,
                 )
-                sp.set(freq_ghz=fw_snapped, modeled_runtime_s=t_w,
-                       modeled_energy_j=e_w, outcome=write_stage)
+                sp.set(freq_ghz=write.freq_ghz, modeled_runtime_s=write.runtime_s,
+                       modeled_energy_j=write.energy_j, outcome=write.stage)
             resilience = self._charge_compress_faults(
                 resilience, buf, sample_field.nbytes, target_bytes,
-                t_c, e_c, retried_slabs, flipped_chunks,
-                tuple(compress_faults), parallel,
+                compress.runtime_s, compress.energy_j, retried_slabs,
+                flipped_chunks, tuple(compress_faults), parallel,
             )
 
+        stages = (("compress", compress), ("write", write))
         if governor is not None:
-            governor.observe("compress", fc_snapped, e_c / t_c, t_c, target_bytes)
-            governor.observe("write", fw_snapped, e_w / t_w, t_w, compressed_bytes)
+            for phase, report in stages:
+                governor.observe(
+                    phase, report.freq_ghz, report.power_w,
+                    report.runtime_s, report.bytes_processed,
+                )
 
         registry = get_registry()
-        for stage, energy, runtime in (("compress", e_c, t_c), ("write", e_w, t_w)):
-            labels = {"stage": stage}
+        for phase, report in stages:
+            labels = {"stage": phase}
             registry.counter(
                 "repro_dump_energy_joules_total", labels,
                 help="modeled energy of dump pipeline stages",
-            ).inc(energy)
+            ).inc(report.energy_j)
             registry.counter(
                 "repro_dump_runtime_seconds_total", labels,
                 help="modeled runtime of dump pipeline stages",
-            ).inc(runtime)
+            ).inc(report.runtime_s)
         registry.counter(
             "repro_nfs_write_bytes_total",
             help="bytes pushed through the modeled NFS write path",
@@ -402,23 +400,11 @@ class DataDumper:
         registry.counter(
             "repro_nfs_write_seconds_total",
             help="modeled reference-clock seconds spent in NFS writes",
-        ).inc(t_w)
+        ).inc(write.runtime_s)
 
         return DumpReport(
-            compress=StageReport(
-                stage="compress",
-                freq_ghz=fc_snapped,
-                bytes_processed=target_bytes,
-                runtime_s=t_c,
-                energy_j=e_c,
-            ),
-            write=StageReport(
-                stage=write_stage,
-                freq_ghz=fw_snapped,
-                bytes_processed=compressed_bytes,
-                runtime_s=t_w,
-                energy_j=e_w,
-            ),
+            compress=compress,
+            write=write,
             compression_ratio=ratio,
             error_bound=error_bound,
             parallel=parallel,

@@ -13,17 +13,13 @@ import numpy as np
 
 from repro.compressors.base import Compressor
 from repro.hardware.node import SimulatedNode
-from repro.hardware.workload import WorkloadKind, decompression_workload, read_workload
-from repro.iosim.dumper import DumpReport, StageReport
+from repro.hardware.workload import decompression_workload, read_workload, stage_kind
+from repro.iosim.dumper import DumpReport, measure_ratio
 from repro.iosim.nfs import NfsTarget
+from repro.iosim.stage import StageReport, resolve_stage_frequency, run_stage
 from repro.utils.validation import check_positive
 
 __all__ = ["RestoreReport", "DataLoader"]
-
-_DEC_KIND_BY_CODEC = {
-    "sz": WorkloadKind.DECOMPRESS_SZ,
-    "zfp": WorkloadKind.DECOMPRESS_ZFP,
-}
 
 
 class RestoreReport(DumpReport):
@@ -52,13 +48,6 @@ class DataLoader:
         self.nfs = nfs if nfs is not None else NfsTarget()
         self.repeats = int(repeats)
 
-    def _run_stage(self, workload, freq_ghz: float):
-        self.node.set_frequency(freq_ghz)
-        runs = [self.node.run(workload) for _ in range(self.repeats)]
-        runtime = float(np.mean([m.runtime_s for m in runs]))
-        energy = float(np.mean([m.energy_j for m in runs]))
-        return runs[0].freq_ghz, runtime, energy
-
     def restore(
         self,
         compressor: Compressor,
@@ -74,42 +63,28 @@ class DataLoader:
         size that must be fetched from the NFS.
         """
         check_positive(target_bytes, "target_bytes")
-        if compressor.name not in _DEC_KIND_BY_CODEC:
-            raise KeyError(f"no workload kind for codec {compressor.name!r}")
-
-        buf = compressor.compress(sample_field, error_bound)
-        ratio = buf.ratio
+        kind = stage_kind("decompress", compressor.name)
+        ratio = measure_ratio(compressor, sample_field, error_bound).ratio
         compressed_bytes = max(1, int(round(target_bytes / ratio)))
 
         cpu = self.node.cpu
-        f_r = cpu.fmax_ghz if read_freq_ghz is None else read_freq_ghz
-        f_d = cpu.fmax_ghz if decompress_freq_ghz is None else decompress_freq_ghz
-
         wl_r = read_workload(compressed_bytes, self.nfs.effective_bandwidth_bps(),
                              name="restore-read")
-        fr_snapped, t_r, e_r = self._run_stage(wl_r, f_r)
-
-        wl_d = decompression_workload(
-            _DEC_KIND_BY_CODEC[compressor.name], target_bytes, error_bound,
-            name=f"{compressor.name}-restore",
+        read = run_stage(
+            self.node, wl_r, resolve_stage_frequency(cpu, "read", read_freq_ghz),
+            self.repeats, "read", compressed_bytes, "restore.read",
         )
-        fd_snapped, t_d, e_d = self._run_stage(wl_d, f_d)
-
+        wl_d = decompression_workload(
+            kind, target_bytes, error_bound, name=f"{compressor.name}-restore",
+        )
+        decompress = run_stage(
+            self.node, wl_d,
+            resolve_stage_frequency(cpu, "decompress", decompress_freq_ghz),
+            self.repeats, "decompress", target_bytes, "restore.decompress",
+        )
         return RestoreReport(
-            compress=StageReport(
-                stage="decompress",
-                freq_ghz=fd_snapped,
-                bytes_processed=target_bytes,
-                runtime_s=t_d,
-                energy_j=e_d,
-            ),
-            write=StageReport(
-                stage="read",
-                freq_ghz=fr_snapped,
-                bytes_processed=compressed_bytes,
-                runtime_s=t_r,
-                energy_j=e_r,
-            ),
+            compress=decompress,
+            write=read,
             compression_ratio=ratio,
             error_bound=error_bound,
         )

@@ -12,24 +12,20 @@ actually checkpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.compressors.base import Compressor
 from repro.hardware.node import SimulatedNode
-from repro.hardware.workload import WorkloadKind, compression_workload
-from repro.iosim.dumper import StageReport
+from repro.hardware.workload import compression_workload, stage_kind
+from repro.iosim.dumper import measure_ratio
 from repro.iosim.nfs import NfsTarget
+from repro.iosim.stage import StageReport, resolve_stage_frequency, run_stage
 from repro.iosim.transit import transit_workload
 from repro.utils.validation import check_positive
 
 __all__ = ["SnapshotField", "SnapshotSpec", "SnapshotDumpReport", "SnapshotDumper"]
-
-_KIND_BY_CODEC = {
-    "sz": WorkloadKind.COMPRESS_SZ,
-    "zfp": WorkloadKind.COMPRESS_ZFP,
-}
 
 
 @dataclass(frozen=True)
@@ -107,17 +103,6 @@ class SnapshotDumper:
         self.nfs = nfs if nfs is not None else NfsTarget()
         self.repeats = int(repeats)
 
-    def _run(self, workload, freq_ghz: float) -> StageReport:
-        self.node.set_frequency(freq_ghz)
-        runs = [self.node.run(workload) for _ in range(self.repeats)]
-        return StageReport(
-            stage=workload.name,
-            freq_ghz=runs[0].freq_ghz,
-            bytes_processed=workload.bytes_processed,
-            runtime_s=float(np.mean([m.runtime_s for m in runs])),
-            energy_j=float(np.mean([m.energy_j for m in runs])),
-        )
-
     def dump(
         self,
         compressor: Compressor,
@@ -126,29 +111,32 @@ class SnapshotDumper:
         write_freq_ghz: float | None = None,
     ) -> SnapshotDumpReport:
         """Dump the snapshot at the given per-stage frequencies."""
-        if compressor.name not in _KIND_BY_CODEC:
-            raise KeyError(f"no workload kind for codec {compressor.name!r}")
+        kind = stage_kind("compress", compressor.name)
         cpu = self.node.cpu
-        f_c = cpu.fmax_ghz if compress_freq_ghz is None else compress_freq_ghz
-        f_w = cpu.fmax_ghz if write_freq_ghz is None else write_freq_ghz
+        f_c = resolve_stage_frequency(cpu, "compress", compress_freq_ghz)
+        f_w = resolve_stage_frequency(cpu, "write", write_freq_ghz)
 
         per_field: Dict[str, StageReport] = {}
         ratios: Dict[str, float] = {}
         total_compressed = 0
         for field in spec.fields:
-            buf = compressor.compress(field.sample, field.error_bound)
-            ratios[field.name] = buf.ratio
-            total_compressed += max(1, int(round(field.target_bytes / buf.ratio)))
+            ratio = measure_ratio(compressor, field.sample, field.error_bound).ratio
+            ratios[field.name] = ratio
+            total_compressed += max(1, int(round(field.target_bytes / ratio)))
             wl = compression_workload(
-                _KIND_BY_CODEC[compressor.name],
-                field.target_bytes,
-                field.error_bound,
+                kind, field.target_bytes, field.error_bound,
                 name=f"snap:{field.name}",
             )
-            per_field[field.name] = self._run(wl, f_c)
+            per_field[field.name] = run_stage(
+                self.node, wl, f_c, self.repeats, wl.name, wl.bytes_processed,
+                "snapshot.compress", field=field.name,
+            )
 
         wl_w = transit_workload(total_compressed, self.nfs, name="snap-write")
-        write = self._run(wl_w, f_w)
+        write = run_stage(
+            self.node, wl_w, f_w, self.repeats, wl_w.name, wl_w.bytes_processed,
+            "snapshot.write",
+        )
         return SnapshotDumpReport(
             per_field=per_field,
             write=write,

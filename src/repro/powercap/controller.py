@@ -29,12 +29,17 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cache.fingerprint import canonical_json
 from repro.hardware.cpu import CpuSpec
 from repro.hardware.powercurves import PowerCurve
-from repro.hardware.workload import FREQUENCY_SENSITIVITY, WorkloadKind
+from repro.hardware.workload import (
+    CODECS,
+    FREQUENCY_SENSITIVITY,
+    WorkloadKind,
+    stage_kind,
+)
 from repro.powercap.allocation import (
     ALLOCATION_POLICIES,
     DEFAULT_CAP_HYSTERESIS,
@@ -64,20 +69,6 @@ DEFAULT_NFS_RESERVE_W = 40.0
 
 POWERCAP_PHASES: Tuple[str, ...] = ("compress", "write", "idle")
 
-#: Workload kind whose power curve stands in for each I/O phase when a
-#: caller does not name the codec (idle nodes still pay the write-path
-#: static floor).
-_PHASE_KIND: Dict[str, WorkloadKind] = {
-    "compress": WorkloadKind.COMPRESS_SZ,
-    "write": WorkloadKind.WRITE,
-    "idle": WorkloadKind.WRITE,
-}
-
-_CODEC_KIND: Dict[str, WorkloadKind] = {
-    "sz": WorkloadKind.COMPRESS_SZ,
-    "zfp": WorkloadKind.COMPRESS_ZFP,
-}
-
 _EPS = 1e-9
 
 
@@ -95,14 +86,14 @@ def _phase_name(phase) -> str:
 
 
 def _phase_kind(phase: str, codec: Optional[str]) -> WorkloadKind:
-    if phase == "compress" and codec is not None:
-        try:
-            return _CODEC_KIND[codec]
-        except KeyError:
-            raise ValueError(
-                f"unknown codec {codec!r}; known: {', '.join(sorted(_CODEC_KIND))}"
-            ) from None
-    return _PHASE_KIND[phase]
+    """The phase's power-curve kind; a compress phase that names no
+    codec is modeled as SZ, and idle nodes pay the write-path floor."""
+    try:
+        return stage_kind(phase, codec)
+    except KeyError:
+        raise ValueError(
+            f"unknown codec {codec!r}; known: {', '.join(CODECS)}"
+        ) from None
 
 
 def node_power_model(

@@ -32,6 +32,7 @@ import numpy as np
 from repro.hardware.workload import write_workload
 from repro.iosim.burstbuffer import BurstBufferTarget
 from repro.iosim.nfs import NfsTarget
+from repro.iosim.stage import StageReport, run_stage
 from repro.observability import get_registry, get_tracer
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
 from repro.resilience.policies import RecoveryPolicy, retune_write_frequency
@@ -253,17 +254,17 @@ class ResilienceEngine:
         nbytes: int,
         freq_ghz: float,
         snapshot: int,
-        run_stage: Callable,
-    ):
+        repeats: int,
+    ) -> Tuple[StageReport, SnapshotResilience]:
         """Write *nbytes* with retry/failover/skip under the fault plan.
 
-        *run_stage* is the dumper's measured-stage runner
-        ``(workload, freq) -> (snapped_freq, runtime_s, energy_j)``; it
-        is only invoked for the surviving attempt, so the measurement
-        noise stream matches a clean run's.
+        Only the surviving attempt runs on *node* (*repeats* times,
+        through :func:`~repro.iosim.stage.run_stage`), so the
+        measurement noise stream matches a clean run's.
 
-        Returns ``(stage_name, snapped_freq, runtime_s, energy_j,
-        SnapshotResilience)``.
+        Returns the write's :class:`~repro.iosim.stage.StageReport`
+        (stage ``write``, ``write-failover`` or ``write-skipped``) and
+        the snapshot's :class:`SnapshotResilience`.
         """
         policy = self.policy
         retry = policy.retry
@@ -354,19 +355,18 @@ class ResilienceEngine:
                 continue
 
             # Surviving attempt: measure it for real.
-            with tracer.span(
+            write = run_stage(
+                node, workload, f_eff, repeats, "write", nbytes,
                 "resilience.attempt",
                 snapshot=snapshot, attempt=attempt, fault="none",
-            ) as sp:
-                snapped, runtime, energy = run_stage(workload, f_eff)
-                sp.set(freq_ghz=snapped, modeled_runtime_s=runtime)
+            )
             records.append(AttemptRecord(
                 snapshot=snapshot, attempt=attempt, stage="write",
                 outcome="ok", faults=tuple(s.kind.value for s in faults),
-                freq_ghz=float(snapped), runtime_s=float(runtime),
-                energy_j=float(energy), nbytes=int(nbytes),
+                freq_ghz=float(write.freq_ghz), runtime_s=write.runtime_s,
+                energy_j=write.energy_j, nbytes=int(nbytes),
             ))
-            return "write", snapped, runtime, energy, SnapshotResilience(
+            return write, SnapshotResilience(
                 snapshot=snapshot, attempts=attempts_used,
                 retried_bytes=retried_bytes,
                 energy_overhead_j=float(energy_overhead),
@@ -384,19 +384,17 @@ class ResilienceEngine:
                 "repro_failover_total",
                 help="snapshots redirected to the burst buffer",
             ).inc()
-            with tracer.span(
-                "resilience.failover", snapshot=snapshot,
-                attempts=attempts_used,
-            ) as sp:
-                snapped, runtime, energy = run_stage(workload, freq_ghz)
-                sp.set(freq_ghz=snapped, modeled_runtime_s=runtime)
+            write = run_stage(
+                node, workload, freq_ghz, repeats, "write-failover", nbytes,
+                "resilience.failover", snapshot=snapshot, attempts=attempts_used,
+            )
             records.append(AttemptRecord(
                 snapshot=snapshot, attempt=attempts_used + 1,
                 stage="write-failover", outcome="failover",
-                freq_ghz=float(snapped), runtime_s=float(runtime),
-                energy_j=float(energy), nbytes=int(nbytes),
+                freq_ghz=float(write.freq_ghz), runtime_s=write.runtime_s,
+                energy_j=write.energy_j, nbytes=int(nbytes),
             ))
-            return "write-failover", snapped, runtime, energy, SnapshotResilience(
+            return write, SnapshotResilience(
                 snapshot=snapshot, attempts=attempts_used + 1,
                 retried_bytes=retried_bytes,
                 energy_overhead_j=float(energy_overhead),
@@ -414,7 +412,8 @@ class ResilienceEngine:
                 snapshot=snapshot, attempt=attempts_used, stage="write",
                 outcome="skipped", nbytes=int(nbytes),
             ))
-            return "write-skipped", float(freq_ghz), 0.0, 0.0, SnapshotResilience(
+            skipped = StageReport("write-skipped", float(freq_ghz), nbytes, 0.0, 0.0)
+            return skipped, SnapshotResilience(
                 snapshot=snapshot, attempts=attempts_used,
                 retried_bytes=retried_bytes,
                 energy_overhead_j=float(energy_overhead),

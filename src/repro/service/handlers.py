@@ -26,18 +26,12 @@ from repro.core.objectives import Objective
 from repro.core.service import TuningService
 from repro.core.tuning import PAPER_POLICY
 from repro.hardware.cpu import KNOWN_CPUS, get_cpu
-from repro.hardware.workload import WorkloadKind
+from repro.hardware.workload import CODECS, stage_kind
 from repro.iosim.nfs import NfsTarget
 from repro.service.errors import BadRequestError, NotFoundError
 from repro.service.registry import ModelRegistry
 
 __all__ = ["RequestHandlers"]
-
-_COMPRESS_KINDS = {
-    "sz": WorkloadKind.COMPRESS_SZ,
-    "zfp": WorkloadKind.COMPRESS_ZFP,
-}
-
 
 def _require(payload: Dict[str, Any], key: str) -> Any:
     if key not in payload:
@@ -158,11 +152,12 @@ class RequestHandlers:
                                 "nbytes", "clients", "criterion"))
         cpu = _get_cpu_checked(_require(payload, "arch"))
         codec = str(payload.get("codec", "sz"))
-        kind = _COMPRESS_KINDS.get(codec)
-        if kind is None:
+        try:
+            kind = stage_kind("compress", codec)
+        except KeyError:
             raise BadRequestError(
-                f"unknown codec {codec!r}; known: {sorted(_COMPRESS_KINDS)}"
-            )
+                f"unknown codec {codec!r}; known: {sorted(CODECS)}"
+            ) from None
         ratio = _as_float(payload, "ratio", _require(payload, "ratio"))
         error_bound = _as_float(
             payload, "error_bound", _require(payload, "error_bound")

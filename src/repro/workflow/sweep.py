@@ -21,7 +21,7 @@ from repro.hardware.cpu import BROADWELL_D1548, SKYLAKE_4114, CpuSpec
 from repro.hardware.node import SimulatedNode
 from repro.hardware.perf import PerfStat
 from repro.hardware.powercurves import PowerCurve
-from repro.hardware.workload import WorkloadKind, compression_workload
+from repro.hardware.workload import compression_workload, stage_kind
 from repro.iosim.nfs import NfsTarget
 from repro.iosim.transit import transit_workload
 
@@ -36,16 +36,6 @@ DEFAULT_FIELDS: Tuple[Tuple[str, str], ...] = (
     ("hacc", "x"),
     ("nyx", "velocity_x"),
 )
-
-_KIND_BY_CODEC = {
-    "sz": WorkloadKind.COMPRESS_SZ,
-    "zfp": WorkloadKind.COMPRESS_ZFP,
-}
-
-_DEC_KIND_BY_CODEC = {
-    "sz": WorkloadKind.DECOMPRESS_SZ,
-    "zfp": WorkloadKind.DECOMPRESS_ZFP,
-}
 
 
 @dataclass(frozen=True)
@@ -182,7 +172,7 @@ def compression_sweep(
             freqs = _frequency_grid(node.cpu, config.frequency_stride)
             records = []
             for codec_name in config.compressors:
-                kind = _KIND_BY_CODEC[codec_name]
+                kind = stage_kind("compress", codec_name)
                 for (ds, fl), arr in arrays.items():
                     for eb in config.error_bounds:
                         wl = compression_workload(
@@ -281,7 +271,7 @@ def decompression_sweep(
             freqs = _frequency_grid(node.cpu, config.frequency_stride)
             records = []
             for codec_name in config.compressors:
-                kind = _DEC_KIND_BY_CODEC[codec_name]
+                kind = stage_kind("decompress", codec_name)
                 for (ds, fl), arr in arrays.items():
                     for eb in config.error_bounds:
                         wl = decompression_workload(

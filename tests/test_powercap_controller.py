@@ -68,9 +68,9 @@ class TestInversion:
 
 
 def _kind(phase):
-    from repro.powercap.controller import _PHASE_KIND
+    from repro.hardware.workload import stage_kind
 
-    return _PHASE_KIND[phase]
+    return stage_kind(phase)
 
 
 class TestMembershipEpochs:

@@ -133,9 +133,9 @@ class TestCappedCluster:
 
 
 def _compress_kind():
-    from repro.powercap.controller import _PHASE_KIND
+    from repro.hardware.workload import stage_kind
 
-    return _PHASE_KIND["compress"]
+    return stage_kind("compress")
 
 
 class TestCappedDumper:

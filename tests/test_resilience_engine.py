@@ -110,15 +110,10 @@ class TestRunWrite:
 
     def run(self, node, plan, policy=None):
         engine = ResilienceEngine(plan, policy)
-
-        def run_stage(workload, freq):
-            node.set_frequency(freq)
-            m = node.run(workload)
-            return m.freq_ghz, m.runtime_s, m.energy_j
-
-        return engine.run_write(
-            node, NfsTarget(), self.NBYTES, node.cpu.fmax_ghz, 0, run_stage
+        write, res = engine.run_write(
+            node, NfsTarget(), self.NBYTES, node.cpu.fmax_ghz, 0, repeats=1
         )
+        return write.stage, write.freq_ghz, write.runtime_s, write.energy_j, res
 
     def test_clean_plan_single_attempt(self, node):
         stage, freq, runtime, energy, res = self.run(node, plan_of())
