@@ -142,4 +142,4 @@ class SimulatedNode:
             return 1.0
         # Clip at 4 sigma so a pathological draw cannot make runtime or
         # power non-positive.
-        return float(1.0 + np.clip(self._rng.normal(0.0, sigma), -4 * sigma, 4 * sigma))
+        return 1.0 + min(max(self._rng.normal(0.0, sigma), -4 * sigma), 4 * sigma)

@@ -377,6 +377,10 @@ class DataDumper:
         stages = (("compress", compress), ("write", write))
         if governor is not None:
             for phase, report in stages:
+                if not report.runtime_s:
+                    # A skipped write never ran: it drew no power to
+                    # learn from, and a 0 W sample would skew the fits.
+                    continue
                 governor.observe(
                     phase, report.freq_ghz, report.power_w,
                     report.runtime_s, report.bytes_processed,

@@ -15,7 +15,8 @@ budget``. Three policies, in increasing sophistication:
   the current bottleneck node's cap to its next grid power threshold
   while the budget allows, which solves
   ``min max_i t_i(cap_i)  s.t.  sum(cap_i) <= budget`` exactly over the
-  discrete frequency grid.
+  discrete frequency grid. The raises are taken in one sorted array
+  pass over every node's grid points, not one at a time.
 
 Every policy iterates nodes in sorted ``node_id`` order, so the result
 is independent of input permutation — part of the subsystem's
@@ -24,10 +25,12 @@ determinism contract (the controller hashes its decision trace).
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.utils.validation import check_in_range, check_positive
 
@@ -82,6 +85,18 @@ class NodePowerModel:
     units are fine: only ratios matter to the makespan argmin) and
     ``sensitivity`` is the leading-loads compute fraction ``s`` in
     ``t(f) = work * ((1 - s) + s * fmax / f)``.
+
+    Construction also fills two read-only ``float64`` arrays, one entry
+    per grid point, that the allocation policies read instead of
+    recomputing them per raise:
+
+    * ``runtimes[i]`` — the runtime at ``grid[i]`` (what
+      :meth:`runtime_at` returns);
+    * ``raise_costs_w[i]`` — the watts one water-filling raise from
+      ``grid[i]`` to ``grid[i + 1]`` adds to the spend:
+      ``power_w[i + 1]`` minus the cap held at ``grid[i]``, which is 0.0
+      before the node's first raise and ``power_w[i]`` after it. The top
+      grid point has no raise; its cost is ``inf``.
     """
 
     node_id: str
@@ -112,6 +127,17 @@ class NodePowerModel:
             raise ValueError("power_w must be non-decreasing along the grid")
         check_positive(self.work, "work")
         check_in_range(self.sensitivity, 0.0, 1.0, "sensitivity")
+        s = self.sensitivity
+        # Elementwise, the same float operations in the same order as
+        # the scalar formula t(f) above.
+        runtimes = self.work * ((1.0 - s) + s * self.grid[-1] / np.array(self.grid))
+        # The cap held at each grid point (0.0 before the first raise),
+        # then inf past the top; a raise costs the next cap minus this one.
+        held = np.array((0.0,) + self.power_w[1:] + (math.inf,))
+        raise_costs = held[1:] - held[:-1]
+        for name, values in (("runtimes", runtimes), ("raise_costs_w", raise_costs)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def min_power(self) -> float:
@@ -125,8 +151,7 @@ class NodePowerModel:
 
     def runtime_at(self, index: int) -> float:
         """Leading-loads runtime (work units) at grid point *index*."""
-        s = self.sensitivity
-        return self.work * ((1.0 - s) + s * self.grid[-1] / self.grid[index])
+        return float(self.runtimes[index])
 
     def index_for_cap(self, cap_w: float) -> int:
         """Highest grid index whose power fits under *cap_w*.
@@ -135,11 +160,7 @@ class NodePowerModel:
         physically runs at fmin (the governor tags such decisions
         ``capped_below_fmin`` rather than refusing to run).
         """
-        index = 0
-        for i, p in enumerate(self.power_w):
-            if p <= cap_w + _EPS:
-                index = i
-        return index
+        return max(bisect_right(self.power_w, cap_w + _EPS) - 1, 0)
 
     def runtime_for_cap(self, cap_w: float) -> float:
         """Modeled runtime when the node runs as fast as *cap_w* allows."""
@@ -250,51 +271,53 @@ def waterfill_allocation(
     while turning spare watts into headroom for the non-bottleneck
     nodes.
 
-    The bottleneck comes off a heap keyed ``(-runtime, node_id)``: only
-    the raised node's key changes per step, so the at most ``N * G``
-    raises (``G`` = grid size) cost ``O(N * G * log N)`` in all.
+    The greedy phase runs as array passes over the ``N * G`` (node,
+    grid point) events (``G`` = grid size), not one Python step per
+    raise. A node's runtime never rises with its clock, so the
+    bottleneck sequence is the merge of the nodes' runtime sequences:
+    every event sorted by ``(-runtime, node rank, grid index)``. The
+    events are laid out in (node rank, grid index) order, so one
+    stable sort on ``-runtime`` gives that order. A cumulative sum of
+    the events' ``raise_costs_w`` in that order makes the same float
+    additions as raising one bottleneck at a time, and the greedy stops
+    at the first event it cannot afford; a node at its top grid point
+    costs ``inf``, which stops it there too. Each node's grid index is
+    then the number of its events before the stop.
     """
     budget_w = check_budget_w(budget_w)
     ordered = _sorted_nodes(nodes)
     if not ordered:
         return {}
-    caps = {n.node_id: 0.0 for n in ordered}
-    index = {n.node_id: 0 for n in ordered}
-    spent = 0.0
-    # node_ids are unique, so the key is a strict total order and the
-    # model in the third slot is never compared.
-    heap = [(-n.runtime_at(0), n.node_id, n) for n in ordered]
-    heapq.heapify(heap)
-    while True:
-        _, nid, bottleneck = heap[0]
-        nxt = index[nid] + 1
-        if nxt >= len(bottleneck.grid):
-            break  # the bottleneck already runs at its top clock
-        delta = bottleneck.power_w[nxt] - caps[nid]
-        if spent + delta > budget_w + _EPS:
-            break  # the one raise that could lower the makespan won't fit
-        caps[nid] = bottleneck.power_w[nxt]
-        index[nid] = nxt
-        spent += delta
-        heapq.heapreplace(heap, (-bottleneck.runtime_at(nxt), nid, bottleneck))
-    for n in ordered:
-        nid = n.node_id
-        if caps[nid] == 0.0:
+    order = np.argsort(
+        -np.concatenate([n.runtimes for n in ordered]), kind="stable"
+    )
+    spend = np.cumsum(np.concatenate([n.raise_costs_w for n in ordered])[order])
+    # spend never falls (costs are >= 0), so a bisection finds the stop.
+    raised = int(np.searchsorted(spend, budget_w + _EPS, side="right"))
+    node_of_event = np.repeat(np.arange(len(ordered)), [len(n.grid) for n in ordered])
+    levels = np.bincount(node_of_event[order[:raised]], minlength=len(ordered))
+    spent = float(spend[raised - 1]) if raised else 0.0
+    caps: Dict[str, float] = {}
+    for n, index in zip(ordered, levels.tolist()):
+        if index:
+            cap = n.power_w[index]
+        elif spent + n.min_power > budget_w + _EPS:
             # A cap below the floor draw is equivalent to zero (the node
             # is pinned at fmin either way), so admit the floor whole or
             # not at all.
-            if spent + n.min_power > budget_w + _EPS:
-                continue
-            caps[nid] = n.min_power
+            caps[n.node_id] = 0.0
+            continue
+        else:
+            cap = n.min_power
             spent += n.min_power
-        while index[nid] + 1 < len(n.grid):
-            nxt = index[nid] + 1
-            delta = n.power_w[nxt] - caps[nid]
+        while index + 1 < len(n.grid):
+            delta = n.power_w[index + 1] - cap
             if spent + delta > budget_w + _EPS:
                 break
-            caps[nid] = n.power_w[nxt]
-            index[nid] = nxt
+            index += 1
+            cap = n.power_w[index]
             spent += delta
+        caps[n.node_id] = cap
     return caps
 
 

@@ -199,6 +199,12 @@ class BitReader:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         _check_width(nbits)
-        bits = self._take(count * nbits).astype(np.uint64).reshape(count, nbits)
-        shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        return np.sum(bits << shifts[None, :], axis=1)
+        bits = self._take(count * nbits).reshape(count, nbits)
+        # Pack each row into bytes (``packbits`` zero-pads it on the
+        # right), read it as one big-endian word zero-padded on the left
+        # to 8 bytes, and shift the row's padding out.
+        nbytes = (nbits + 7) // 8
+        words = np.zeros((count, 8), dtype=np.uint8)
+        words[:, 8 - nbytes :] = np.packbits(bits, axis=1)
+        pad = np.uint64(8 * nbytes - nbits)
+        return words.view(">u8").ravel().astype(np.uint64) >> pad

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hardware.cpu import BROADWELL_D1548
+from repro.hardware.powercurves import CalibratedPowerCurve
 from repro.powercap.allocation import (
     _EPS,
     ALLOCATION_POLICIES,
@@ -26,6 +28,7 @@ from repro.powercap.allocation import (
     uniform_allocation,
     waterfill_allocation,
 )
+from repro.powercap.controller import node_power_model
 
 # A realistic little DVFS grid: ascending frequencies, non-decreasing
 # power.  Work/sensitivity vary per node so makespans differ.
@@ -234,12 +237,13 @@ class TestMakespan:
         assert math.isfinite(span) and span > 0.0
 
 
-def greedy_waterfill(nodes, budget_w):
+def greedy_waterfill(nodes, budget_w, spends=None):
     """The rescanning greedy water-fill, kept verbatim as an oracle.
 
     Picks each bottleneck with a ``min()`` over every node, which makes
     one allocation cost O(N^2 * G); :func:`waterfill_allocation` must
-    reproduce its raise sequence, and so its caps, exactly.
+    reproduce its raise sequence, and so its caps, exactly. A *spends*
+    list receives the running spend after each greedy-phase raise.
     """
     budget_w = check_budget_w(budget_w)
     ordered = _sorted_nodes(nodes)
@@ -262,6 +266,8 @@ def greedy_waterfill(nodes, budget_w):
         caps[nid] = bottleneck.power_w[nxt]
         index[nid] = nxt
         spent += delta
+        if spends is not None:
+            spends.append(spent)
     for n in ordered:
         nid = n.node_id
         if caps[nid] == 0.0:
@@ -284,9 +290,9 @@ def greedy_waterfill(nodes, budget_w):
 
 
 @st.composite
-def grid_models(draw, node_id, sensitivity=None):
+def grid_models(draw, node_id, sensitivity=None, max_size=12):
     """A node with its own grid: random steps, power with plateaus."""
-    size = draw(st.integers(1, 12))
+    size = draw(st.integers(1, max_size))
     steps = draw(st.lists(st.floats(0.05, 0.5), min_size=size, max_size=size))
     grid, f = [], 0.6
     for step in steps:
@@ -321,8 +327,27 @@ def oracle_fleets(draw):
 
 
 @st.composite
-def fleet_and_budget(draw):
-    fleet = draw(oracle_fleets())
+def mixed_size_fleets(draw):
+    """Own-grid nodes of 1 to 25 grid points, single points included."""
+    n = draw(st.integers(1, 8))
+    sizes = st.one_of(st.sampled_from([1, 25]), st.integers(1, 25))
+    return [draw(grid_models(f"n{i:02d}", max_size=draw(sizes)))
+            for i in range(n)]
+
+
+@st.composite
+def tied_fleets(draw):
+    """Identical nodes with sensitivity 0: every runtime of every node
+    ties, so node_id and grid index alone order the raises."""
+    twin = draw(grid_models("n00", sensitivity=0.0, max_size=25))
+    return [NodePowerModel(f"n{i:02d}", twin.grid, twin.power_w,
+                           work=twin.work, sensitivity=0.0)
+            for i in range(draw(st.integers(1, 8)))]
+
+
+@st.composite
+def fleet_and_budget(draw, fleets=oracle_fleets()):
+    fleet = draw(fleets)
     floor = sum(m.min_power for m in fleet)
     top = sum(m.max_power for m in fleet)
     regime = draw(st.sampled_from(["below-floor", "between", "above-max"]))
@@ -359,3 +384,95 @@ class TestWaterfillMatchesGreedyOracle:
         assert list(caps) == ["n00", "n01", "n02", "n03"]
         assert list(caps.values()) == sorted(caps.values(), reverse=True)
         assert caps["n00"] > caps["n03"]
+
+    @given(fleet_and_budget(mixed_size_fleets()))
+    @settings(max_examples=300, deadline=None)
+    def test_caps_equal_across_mixed_grid_sizes(self, case):
+        fleet, budget = case
+        assert waterfill_allocation(fleet, budget) == greedy_waterfill(
+            fleet, budget)
+
+    @given(fleet_and_budget(tied_fleets()))
+    @settings(max_examples=200, deadline=None)
+    def test_caps_equal_when_every_runtime_ties(self, case):
+        fleet, budget = case
+        assert waterfill_allocation(fleet, budget) == greedy_waterfill(
+            fleet, budget)
+
+    @given(st.one_of(oracle_fleets(), mixed_size_fleets(), tied_fleets()),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_caps_equal_on_a_running_spend_boundary(self, fleet, data):
+        # The oracle's own spend after k raises, nudged by j * 1e-9 W:
+        # whether raise k still fits turns on the last bits of the
+        # running sum, so the stop must come from the same additions.
+        spends = []
+        greedy_waterfill(fleet, 2.0 * sum(m.max_power for m in fleet),
+                         spends)
+        if not spends:
+            return  # the first bottleneck starts at its top grid point
+        k = data.draw(st.integers(0, len(spends) - 1), label="k")
+        j = data.draw(st.integers(-2, 2), label="j")
+        budget = spends[k] + j * 1e-9
+        assert waterfill_allocation(fleet, budget) == greedy_waterfill(
+            fleet, budget)
+
+
+class TestModelArrays:
+    @given(grid_models("n00", max_size=25))
+    @settings(max_examples=200, deadline=None)
+    def test_runtimes_match_the_scalar_formula(self, m):
+        s = m.sensitivity
+        assert m.runtimes.tolist() == [
+            m.work * ((1.0 - s) + s * m.grid[-1] / f) for f in m.grid]
+        assert [m.runtime_at(i) for i in range(len(m.grid))] == (
+            m.runtimes.tolist())
+
+    @given(grid_models("n00", max_size=25))
+    @settings(max_examples=200, deadline=None)
+    def test_raise_costs_follow_the_held_cap(self, m):
+        held = [0.0] + list(m.power_w[1:-1])
+        assert m.raise_costs_w.tolist() == [
+            p - cap for p, cap in zip(m.power_w[1:], held)] + [math.inf]
+
+    @given(grid_models("n00", max_size=25), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_index_for_cap_matches_a_full_scan(self, m, data):
+        near = data.draw(st.sampled_from(m.power_w), label="near")
+        cap = data.draw(st.sampled_from(
+            [0.0, near, near - _EPS, near + _EPS, near - 2 * _EPS,
+             near * 2.0]), label="cap")
+        scan = max([i for i, p in enumerate(m.power_w) if p <= cap + _EPS],
+                   default=0)
+        assert m.index_for_cap(cap) == scan
+
+    def test_arrays_are_read_only(self):
+        m = node(0)
+        with pytest.raises(ValueError):
+            m.runtimes[0] = 0.0
+        with pytest.raises(ValueError):
+            m.raise_costs_w[0] = 0.0
+
+
+class TestWaterfillWorkPerEpoch:
+    def test_no_per_raise_runtime_calls(self, monkeypatch):
+        # 96 nodes x 25 grid points at the fleet benchmark's per-node
+        # budget: a loop that raises one bottleneck at a time would read
+        # runtime_at hundreds of times; the array passes read none.
+        curve = CalibratedPowerCurve()
+        fleet = [node_power_model(f"n{i:03d}", BROADWELL_D1548, curve,
+                                  work=1.0 + (i % 7) / 4)
+                 for i in range(96)]
+        budget = 1536.0 - 40.0
+        calls = []
+        real = NodePowerModel.runtime_at
+
+        def counting(self, index):
+            calls.append(index)
+            return real(self, index)
+
+        monkeypatch.setattr(NodePowerModel, "runtime_at", counting)
+        caps = waterfill_allocation(fleet, budget)
+        assert calls == []
+        monkeypatch.undo()
+        assert caps == greedy_waterfill(fleet, budget)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cache import ResultCache, use_cache
 from repro.compressors import SZCompressor
+from repro.governor import make_governor
 from repro.hardware.cpu import get_cpu
 from repro.hardware.node import SimulatedNode
 from repro.iosim.dumper import DataDumper
@@ -23,6 +24,7 @@ from repro.resilience import (
     FaultKind,
     FaultPlan,
     FaultSpec,
+    RecoveryPolicy,
     RetryPolicy,
     SnapshotLostError,
 )
@@ -220,3 +222,47 @@ class TestChunkedDumpResilience:
         res = self.dump(plan).resilience
         assert set(res.faults) >= {"worker-crash", "nfs-transient-error"}
         assert res.attempts == 2  # the write retried once
+
+
+class TestGovernedSkippedWrite:
+    """A governed dump whose every write attempt fails, under a policy
+    that skips instead of failing over: the run completes, the snapshot
+    counts as lost, and the governor learns only from the compress
+    stage that ran (a skipped write has no power to observe)."""
+
+    PLAN = FaultPlan(specs=(
+        FaultSpec(FaultKind.NFS_HARD_FAILURE, probability=1.0),
+    ), seed=0)
+    POLICY = RecoveryPolicy(failover=False, skip_on_exhaustion=True)
+
+    @staticmethod
+    def executor():
+        # CI's resilience job matrix sets REPRO_TEST_EXECUTOR; 1 KiB
+        # slabs split FIELD into three, so the backend really runs.
+        executor = os.environ.get("REPRO_TEST_EXECUTOR", "serial")
+        return {"chunk_bytes": 1024, "executor": executor,
+                "workers": None if executor == "serial" else 2}
+
+    def test_dump_returns_the_skipped_write(self):
+        governor = make_governor("adaptive", CPU)
+        dumper = DataDumper(SimulatedNode(CPU, seed=0), repeats=1,
+                            **self.executor())
+        report = dumper.dump(SZCompressor(), FIELD, 1e-2, 10**9,
+                             fault_plan=self.PLAN, policy=self.POLICY,
+                             governor=governor)
+        assert report.write.stage == "write-skipped"
+        assert report.resilience.lost
+        assert [s.phase for s in governor.telemetry.samples()] == ["compress"]
+
+    def test_campaign_counts_each_snapshot_lost(self):
+        governor = make_governor("adaptive", CPU)
+        report = run_campaign(
+            SimulatedNode(CPU, seed=0), SZCompressor(), FIELD, 1e-2,
+            CAMPAIGN, repeats=1, fault_plan=self.PLAN, policy=self.POLICY,
+            governor=governor, **self.executor(),
+        )
+        assert report.snapshots_lost == CAMPAIGN.n_snapshots
+        assert [snap.write.stage for snap in report.snapshots] == [
+            "write-skipped"] * CAMPAIGN.n_snapshots
+        assert [s.phase for s in governor.telemetry.samples()] == [
+            "compress"] * CAMPAIGN.n_snapshots

@@ -351,3 +351,40 @@ class TestPackedWriterMatchesReference:
     def test_packed_nbits_beyond_data_rejected(self):
         with pytest.raises(ValueError, match="does not fit"):
             BitWriter().write_packed(b"\x00", 9)
+
+
+def reference_read_uint_array(reader: BitReader, count: int, nbits: int):
+    """The shift-sum reader that the packed-word read replaced (every bit
+    widened to ``uint64``), kept as the oracle for values and dtype."""
+    bits = reader.read_bits_array(count * nbits).astype(np.uint64)
+    shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
+    return np.sum(bits.reshape(count, nbits) << shifts[None, :], axis=1)
+
+
+class TestReadUintArrayMatchesReference:
+    @given(
+        st.one_of(st.sampled_from([8, 16, 24, 32, 40, 48, 56, 64]),
+                  st.integers(1, 64)),
+        st.integers(0, 300),
+        st.integers(0, 7),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_width_count_and_phase(self, nbits, count, phase, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 2**nbits, size=count, dtype=np.uint64)
+        w = BitWriter()
+        if phase:  # the fields start *phase* bits into a byte
+            w.write_uint(int(rng.integers(0, 2**phase)), phase)
+        w.write_uint_array(values, nbits)
+        w.write_uint(int(rng.integers(0, 128)), 7)  # trailing bits stay unread
+        readers = [BitReader(w.getvalue()) for _ in range(2)]
+        for r in readers:
+            r.read_bits_array(phase)
+        got = readers[0].read_uint_array(count, nbits)
+        expected = reference_read_uint_array(readers[1], count, nbits)
+        assert got.dtype == expected.dtype == np.uint64
+        assert got.shape == expected.shape == (count,)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, values)
+        assert readers[0].remaining == readers[1].remaining
