@@ -8,7 +8,7 @@ frequencies, including a slowdown-capped variant.
 import numpy as np
 from conftest import emit
 
-from repro.core.tuning import optimal_energy_frequency
+from repro.core.tuning import recommend
 from repro.workflow.report import render_table
 
 
@@ -25,10 +25,10 @@ def test_bench_ablation_tuning(benchmark, ctx):
             comp_rt = outcome.compression_runtime[arch]
             tran_rt = outcome.transit_runtime[arch]
 
-            f_opt_c = optimal_energy_frequency(comp_model, comp_rt, node.cpu)
-            f_opt_w = optimal_energy_frequency(tran_model, tran_rt, node.cpu)
-            f_cap_c = optimal_energy_frequency(comp_model, comp_rt, node.cpu,
-                                               max_slowdown=0.10)
+            f_opt_c = recommend(node.cpu, "compress", comp_model, comp_rt).freq_ghz
+            f_opt_w = recommend(node.cpu, "write", tran_model, tran_rt).freq_ghz
+            f_cap_c = recommend(node.cpu, "compress", comp_model, comp_rt,
+                                max_slowdown=0.10).freq_ghz
 
             from repro.iosim.dumper import DataDumper
             from repro.compressors import SZCompressor

@@ -16,7 +16,7 @@ from repro import (
     TunedIOPipeline,
     default_nodes,
 )
-from repro.core.tuning import optimal_energy_frequency
+from repro.core.tuning import recommend
 from repro.workflow.report import render_table
 
 
@@ -61,11 +61,11 @@ def main() -> None:
     print()
     for node in pipe.nodes:
         arch = node.cpu.arch
-        f_opt = optimal_energy_frequency(
+        f_opt = recommend(
+            node.cpu, "compress",
             outcome.compression_models[arch.capitalize()],
             outcome.compression_runtime[arch],
-            node.cpu,
-        )
+        ).freq_ghz
         f_eqn3 = 0.875 * node.cpu.fmax_ghz
         print(f"{arch}: Eqn. 3 pins compression at {f_eqn3:.3f} GHz; "
               f"model-optimal energy frequency is {f_opt:.3f} GHz")

@@ -40,8 +40,7 @@ from repro.core import (
     fit_partition_models,
     fit_power_law,
     fit_runtime_model,
-    optimal_energy_frequency,
-    optimal_frequency,
+    solve_frequency,
 )
 from repro.data import available_datasets, load_dataset, load_field
 from repro.hardware import (
@@ -70,7 +69,7 @@ __all__ = [
     "PAPER_POLICY",
     "ModelBundle",
     "Objective",
-    "optimal_frequency",
+    "solve_frequency",
     "CASCADELAKE_6230",
     "DataLoader",
     "PipelineOutcome",
@@ -83,7 +82,6 @@ __all__ = [
     "fit_partition_models",
     "fit_power_law",
     "fit_runtime_model",
-    "optimal_energy_frequency",
     "available_datasets",
     "load_dataset",
     "load_field",

@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("power", "energy", "edp", "ed2p"),
                    default="energy",
                    help="objective for --policy optimal")
-    _add_cache_args(p)
 
     p = sub.add_parser("dump", help="simulate a compress-and-dump with tuning")
     p.add_argument("--models", required=True)
@@ -528,41 +527,31 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from repro.core.objectives import Objective, optimal_frequency
-    from repro.core.persistence import ModelBundle
-    from repro.core.tuning import PAPER_POLICY, recommend_from_models
+    from repro.core.objectives import Objective
+    from repro.core.service import TuningService
+    from repro.core.tuning import PAPER_POLICY
     from repro.hardware.cpu import get_cpu
     from repro.workflow.report import render_table
 
-    bundle = ModelBundle.load(args.models)
+    service = TuningService.from_file(args.models)
+    policy = PAPER_POLICY if args.policy == "eqn3" else None
     rows = []
-    for arch, runtime in bundle.compression_runtime.items():
-        cpu = get_cpu(arch)
-        power = bundle.compression_power.get(arch.capitalize())
-        tran_power = bundle.transit_power.get(arch.capitalize())
-        tran_runtime = bundle.transit_runtime[arch]
-        for stage, pm, rm in (("compress", power, runtime),
-                              ("write", tran_power, tran_runtime)):
-            if pm is None:
-                continue
-            if args.policy == "eqn3":
-                rec = recommend_from_models(cpu, stage, pm, rm, PAPER_POLICY)
-                freq = rec.freq_ghz
-            else:
-                freq = optimal_frequency(pm, rm, cpu, Objective(args.objective))
-                rec = None
-            p_saving = 1.0 - float(pm.predict(freq)) / float(pm.predict(cpu.fmax_ghz))
-            slowdown = float(rm.predict(freq)) - 1.0
+    for arch in service.bundle.compression_runtime:
+        get_cpu(arch)  # an architecture no CPU spec knows is an error
+        for stage in ("compress", "write"):
+            try:
+                rec = service.decide(arch, stage, Objective(args.objective), policy)
+            except KeyError:
+                continue  # the bundle has no models for this stage
             rows.append(
                 {
                     "cpu": arch,
                     "stage": stage,
-                    "policy": args.policy if args.policy == "eqn3"
-                    else f"optimal/{args.objective}",
-                    "freq_ghz": freq,
-                    "power_saving_pct": p_saving * 100,
-                    "slowdown_pct": slowdown * 100,
-                    "energy_saving_pct": (1 - (1 - p_saving) * (1 + slowdown)) * 100,
+                    "policy": rec.objective if policy else f"optimal/{rec.objective}",
+                    "freq_ghz": rec.freq_ghz,
+                    "power_saving_pct": rec.predicted_power_saving * 100,
+                    "slowdown_pct": rec.predicted_slowdown * 100,
+                    "energy_saving_pct": rec.predicted_energy_saving * 100,
                 }
             )
     print(render_table(rows, title="Frequency recommendations"))

@@ -26,9 +26,8 @@ from repro.core.partitions import (
 from repro.core.tuning import (
     PAPER_POLICY,
     TuningPolicy,
-    optimal_energy_frequency,
-    energy_curve,
     TuningRecommendation,
+    recommend,
     recommend_from_models,
 )
 from repro.core.energy import (
@@ -37,7 +36,12 @@ from repro.core.energy import (
     SavingsReport,
     compare_reports,
 )
-from repro.core.objectives import Objective, objective_curve, optimal_frequency
+from repro.core.objectives import (
+    InfeasibleSlowdownError,
+    Objective,
+    objective_curve,
+    solve_frequency,
+)
 from repro.core.persistence import ModelBundle
 from repro.core.advisor import BoundProfile, ErrorBoundAdvisor
 from repro.core.breakeven import (
@@ -54,7 +58,7 @@ from repro.core.multicore import (
     sweep_configurations,
 )
 from repro.core.impact import GridProfile, ImpactReport, US_AVERAGE_GRID, impact_of
-from repro.core.service import StageDecision, TuningService
+from repro.core.service import TuningService
 from repro.core.pipeline import TunedIOPipeline, PipelineOutcome
 
 __all__ = [
@@ -75,9 +79,8 @@ __all__ = [
     "fit_partition_models",
     "PAPER_POLICY",
     "TuningPolicy",
-    "optimal_energy_frequency",
-    "energy_curve",
     "TuningRecommendation",
+    "recommend",
     "recommend_from_models",
     "energy_joules",
     "savings_fraction",
@@ -85,7 +88,8 @@ __all__ = [
     "compare_reports",
     "Objective",
     "objective_curve",
-    "optimal_frequency",
+    "InfeasibleSlowdownError",
+    "solve_frequency",
     "ModelBundle",
     "BoundProfile",
     "ErrorBoundAdvisor",
@@ -104,7 +108,6 @@ __all__ = [
     "ImpactReport",
     "US_AVERAGE_GRID",
     "impact_of",
-    "StageDecision",
     "TuningService",
     "TunedIOPipeline",
     "PipelineOutcome",

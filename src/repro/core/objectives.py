@@ -11,6 +11,11 @@ the standard objective family:
   throughput-aware compromise.
 * ``ED2P`` — energy-delay² product ``P(f)·t(f)³``, strongly
   delay-averse (leans toward f_max).
+
+:func:`solve_frequency` is the one grid argmin behind every frequency
+pick: model-optimal tuning, the tuning service, the governors and the
+degraded write retune each evaluate their own model on the grid and
+hand the values in.
 """
 
 from __future__ import annotations
@@ -21,9 +26,14 @@ import numpy as np
 
 from repro.core.power_model import PowerModel
 from repro.core.runtime_model import RuntimeModel
-from repro.hardware.cpu import CpuSpec
+from repro.hardware.cpu import floor_index
 
-__all__ = ["Objective", "objective_curve", "optimal_frequency"]
+__all__ = [
+    "Objective",
+    "objective_curve",
+    "InfeasibleSlowdownError",
+    "solve_frequency",
+]
 
 
 class Objective(enum.Enum):
@@ -58,13 +68,50 @@ def objective_curve(
     return power_model.predict(f) * runtime_model.predict(f) ** objective.delay_exponent
 
 
-def optimal_frequency(
-    power_model: PowerModel,
-    runtime_model: RuntimeModel,
-    cpu: CpuSpec,
+class InfeasibleSlowdownError(ValueError):
+    """No candidate frequency meets the ``max_slowdown`` constraint."""
+
+
+def solve_frequency(
+    grid,
+    power,
+    runtime,
     objective: Objective = Objective.ENERGY,
+    max_slowdown: float | None = None,
+    cap_ghz: float | None = None,
+    hysteresis: float = 0.0,
 ) -> float:
-    """DVFS-grid frequency minimizing the chosen objective."""
-    grid = cpu.available_frequencies()
-    values = objective_curve(power_model, runtime_model, grid, objective)
-    return float(grid[np.argmin(values)])
+    """The DVFS grid frequency minimizing ``power · runtime^k``.
+
+    *power* and *runtime* are the caller's model values at each point
+    of the ascending *grid*; *runtime* is relative to the max clock's
+    runtime whenever *max_slowdown* is given. A *cap_ghz* keeps the
+    points at or below it (fmin alone when it lies below the grid);
+    *max_slowdown* keeps the points with ``runtime <= 1 + max_slowdown``
+    and raises :class:`InfeasibleSlowdownError` when none is left. The
+    lowest remaining frequency wins unless the argmin beats its cost by
+    more than *hysteresis* times that cost, so ``hysteresis=0`` is a
+    plain argmin with ties going to the lower clock.
+    """
+    if not isinstance(objective, Objective):
+        raise TypeError(f"objective must be an Objective, got {objective!r}")
+    grid = np.asarray(grid, dtype=np.float64)
+    if not grid.size:
+        raise ValueError("grid must be non-empty")
+    runtime = np.asarray(runtime, dtype=np.float64)
+    cost = np.asarray(power, dtype=np.float64) * runtime**objective.delay_exponent
+    if cap_ghz is not None:
+        n = floor_index(grid, cap_ghz) + 1
+        grid, runtime, cost = grid[:n], runtime[:n], cost[:n]
+    if max_slowdown is not None:
+        ok = runtime <= 1.0 + max_slowdown + 1e-12
+        if not ok.any():
+            raise InfeasibleSlowdownError(
+                f"no frequency satisfies max_slowdown={max_slowdown}; "
+                f"minimum modeled slowdown is {runtime.min() - 1:.3f}"
+            )
+        grid, cost = grid[ok], cost[ok]
+    best = int(np.argmin(cost))
+    if cost[0] - cost[best] > hysteresis * cost[0]:
+        return float(grid[best])
+    return float(grid[0])

@@ -10,39 +10,18 @@ pinned frequency and predicted effects out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.core.objectives import Objective, optimal_frequency
+from repro.core.objectives import Objective
 from repro.core.persistence import ModelBundle
 from repro.core.power_model import PowerModel
 from repro.core.runtime_model import RuntimeModel
-from repro.core.tuning import TuningPolicy
+from repro.core.tuning import TuningPolicy, TuningRecommendation, recommend
 from repro.hardware.cpu import get_cpu
 
-__all__ = ["StageDecision", "TuningService"]
+__all__ = ["TuningService"]
 
 _STAGES = ("compress", "write")
-
-
-@dataclass(frozen=True)
-class StageDecision:
-    """One pinned-frequency decision with its predicted effects."""
-
-    arch: str
-    stage: str
-    freq_ghz: float
-    objective: str
-    predicted_power_saving: float
-    predicted_slowdown: float
-
-    @property
-    def predicted_energy_saving(self) -> float:
-        return 1.0 - (1.0 - self.predicted_power_saving) * (
-            1.0 + self.predicted_slowdown
-        )
 
 
 class TuningService:
@@ -61,6 +40,7 @@ class TuningService:
         return tuple(sorted(self.bundle.compression_runtime))
 
     def _models(self, arch: str, stage: str) -> Tuple[PowerModel, RuntimeModel]:
+        """*stage*'s models for the canonical architecture name *arch*."""
         if stage not in _STAGES:
             raise ValueError(f"stage must be one of {_STAGES}, got {stage!r}")
         power_map = (
@@ -87,48 +67,20 @@ class TuningService:
         objective: Objective = Objective.ENERGY,
         policy: Optional[TuningPolicy] = None,
         max_slowdown: Optional[float] = None,
-    ) -> StageDecision:
+    ) -> TuningRecommendation:
         """Pick the pinned frequency for one I/O stage.
 
-        A *policy* (e.g. :data:`~repro.core.tuning.PAPER_POLICY`)
-        overrides the objective with its fixed factor; *max_slowdown*
-        constrains the objective-driven choice.
+        *arch* is any name :func:`~repro.hardware.cpu.get_cpu` knows
+        (``"Broadwell"``, ``"m510"``, ...); the recommendation reports
+        the canonical architecture. A *policy* (e.g.
+        :data:`~repro.core.tuning.PAPER_POLICY`) overrides the objective
+        with its fixed factor; *max_slowdown* constrains the
+        objective-driven choice.
         """
         cpu = get_cpu(arch)
-        power, runtime = self._models(arch, stage)
-        if policy is not None:
-            from repro.hardware.workload import stage_kind
-
-            freq = policy.frequency_for(cpu, stage_kind(stage))
-            label = policy.name
-        else:
-            freq = optimal_frequency(power, runtime, cpu, objective)
-            label = objective.value
-            if max_slowdown is not None:
-                grid = cpu.available_frequencies()
-                ok = runtime.predict(grid) <= 1.0 + max_slowdown
-                if not np.any(ok):
-                    raise ValueError(
-                        f"no frequency satisfies max_slowdown={max_slowdown}"
-                    )
-                if runtime.predict(freq) > 1.0 + max_slowdown:
-                    from repro.core.objectives import objective_curve
-
-                    values = np.where(
-                        ok, objective_curve(power, runtime, grid, objective), np.inf
-                    )
-                    freq = float(grid[np.argmin(values)])
-        p_saving = 1.0 - float(power.predict(freq)) / float(
-            power.predict(cpu.fmax_ghz)
-        )
-        slowdown = float(runtime.predict(freq)) - 1.0
-        return StageDecision(
-            arch=arch,
-            stage=stage,
-            freq_ghz=freq,
-            objective=label,
-            predicted_power_saving=p_saving,
-            predicted_slowdown=slowdown,
+        power, runtime = self._models(cpu.arch, stage)
+        return recommend(
+            cpu, stage, power, runtime, policy, objective, max_slowdown
         )
 
     def decision_table(
@@ -141,7 +93,7 @@ class TuningService:
                 d = self.decide(arch, stage, objective)
                 rows.append(
                     {
-                        "arch": d.arch,
+                        "arch": d.cpu,
                         "stage": d.stage,
                         "freq_ghz": d.freq_ghz,
                         "power_saving_pct": d.predicted_power_saving * 100,

@@ -2,16 +2,17 @@
 
 Eqn. 3 recommends pinning compression at ``0.875·f_max`` and data
 writing at ``0.85·f_max``. :data:`PAPER_POLICY` encodes that rule;
-:func:`optimal_energy_frequency` instead minimizes modeled energy
-``E(f) = P(f)·t(f)`` over the DVFS grid (ablation #2 compares the two).
+without a policy, :func:`recommend` instead minimizes a modeled
+objective (energy ``E(f) = P(f)·t(f)`` by default) over the DVFS grid
+through :func:`~repro.core.objectives.solve_frequency` (ablation #2
+compares the two).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.core.objectives import Objective, solve_frequency
 from repro.core.power_model import PowerModel
 from repro.core.runtime_model import RuntimeModel
 from repro.hardware.cpu import CpuSpec
@@ -21,9 +22,8 @@ from repro.utils.validation import check_in_range
 __all__ = [
     "TuningPolicy",
     "PAPER_POLICY",
-    "energy_curve",
-    "optimal_energy_frequency",
     "TuningRecommendation",
+    "recommend",
     "recommend_from_models",
 ]
 
@@ -54,54 +54,25 @@ class TuningPolicy:
 PAPER_POLICY = TuningPolicy(compress_factor=0.875, write_factor=0.85, name="eqn3")
 
 
-def energy_curve(
-    power_model: PowerModel,
-    runtime_model: RuntimeModel,
-    frequencies,
-) -> np.ndarray:
-    """Scaled energy ``P(f)·t(f)`` (both factors scaled to max clock)."""
-    f = np.asarray(frequencies, dtype=np.float64)
-    return power_model.predict(f) * runtime_model.predict(f)
-
-
-def optimal_energy_frequency(
-    power_model: PowerModel,
-    runtime_model: RuntimeModel,
-    cpu: CpuSpec,
-    max_slowdown: float | None = None,
-) -> float:
-    """DVFS-grid frequency minimizing modeled energy.
-
-    Parameters
-    ----------
-    max_slowdown:
-        Optional runtime-increase cap (e.g. ``0.10`` for "at most 10 %
-        slower than max clock"); frequencies predicted to exceed it are
-        excluded.
-    """
-    grid = cpu.available_frequencies()
-    energies = energy_curve(power_model, runtime_model, grid)
-    if max_slowdown is not None:
-        ok = runtime_model.predict(grid) <= 1.0 + max_slowdown
-        if not np.any(ok):
-            raise ValueError(
-                f"no frequency satisfies max_slowdown={max_slowdown}; "
-                f"minimum modeled slowdown is {runtime_model.predict(grid).min() - 1:.3f}"
-            )
-        energies = np.where(ok, energies, np.inf)
-    return float(grid[np.argmin(energies)])
-
-
 @dataclass(frozen=True)
 class TuningRecommendation:
-    """A derived per-stage recommendation with its predicted effects."""
+    """One stage's pinned frequency with its predicted effects.
+
+    *objective* labels what picked the clock: an objective's value
+    (``"energy"``, ``"edp"``, ...) or a fixed policy's name
+    (``"eqn3"``).
+    """
 
     cpu: str
     stage: str
     freq_ghz: float
+    objective: str
     freq_factor: float
     predicted_power_saving: float
     predicted_slowdown: float
+    #: ``1 - (P(f)/P(fmax))·t(f)``: the modeled energy at *f* against
+    #: the max clock's, from the same two predictions as the fields
+    #: above.
     predicted_energy_saving: float
 
 
@@ -112,40 +83,57 @@ def recommend_from_models(
     runtime_model: RuntimeModel,
     policy: TuningPolicy | None = None,
 ) -> TuningRecommendation:
-    """Evaluate a policy (default: model-optimal energy) on one stage.
+    """:func:`recommend` with the default energy objective, memoized in
+    the result cache.
 
-    With a *policy*, its fixed factor is used (the paper's Eqn. 3);
-    otherwise the energy-minimizing grid frequency is chosen.
+    The key names that objective, so entries written before
+    :class:`TuningRecommendation` carried one are never decoded.
     """
-    if stage not in ("compress", "write"):
-        raise ValueError(f"stage must be 'compress' or 'write', got {stage!r}")
     from repro.cache import fingerprint, get_cache
 
+    args = (cpu, stage, power_model, runtime_model, policy)
     cache = get_cache()
     if not cache.enabled:
-        return _recommend(cpu, stage, power_model, runtime_model, policy)
+        return recommend(*args)
     key = fingerprint(
         kind="tuning.recommend", cpu=cpu, stage=stage,
         power=power_model, runtime=runtime_model, policy=policy,
+        objective=Objective.ENERGY.value,
     )
     return cache.get_or_compute(
-        key,
-        lambda: _recommend(cpu, stage, power_model, runtime_model, policy),
-        context="tuning.recommend",
+        key, lambda: recommend(*args), context="tuning.recommend"
     )
 
 
-def _recommend(
+def recommend(
     cpu: CpuSpec,
     stage: str,
     power_model: PowerModel,
     runtime_model: RuntimeModel,
-    policy: TuningPolicy | None,
+    policy: TuningPolicy | None = None,
+    objective: Objective = Objective.ENERGY,
+    max_slowdown: float | None = None,
 ) -> TuningRecommendation:
+    """Evaluate a policy (default: the model-optimal *objective*) on one
+    stage.
+
+    With a *policy*, its fixed factor is used (the paper's Eqn. 3) and
+    *max_slowdown* does not apply; otherwise :func:`solve_frequency`
+    picks the grid frequency minimizing *objective* within
+    *max_slowdown*.
+    """
+    if stage not in ("compress", "write"):
+        raise ValueError(f"stage must be 'compress' or 'write', got {stage!r}")
     if policy is not None:
         freq = policy.frequency_for(cpu, stage_kind(stage))
+        label = policy.name
     else:
-        freq = optimal_energy_frequency(power_model, runtime_model, cpu)
+        grid = cpu.available_frequencies()
+        freq = solve_frequency(
+            grid, power_model.predict(grid), runtime_model.predict(grid),
+            objective, max_slowdown,
+        )
+        label = objective.value
 
     p_ref = float(power_model.predict(cpu.fmax_ghz))
     p_tuned = float(power_model.predict(freq))
@@ -154,6 +142,7 @@ def _recommend(
         cpu=cpu.arch,
         stage=stage,
         freq_ghz=freq,
+        objective=label,
         freq_factor=freq / cpu.fmax_ghz,
         predicted_power_saving=1.0 - p_tuned / p_ref,
         predicted_slowdown=t_tuned - 1.0,

@@ -8,7 +8,9 @@ This package closes the loop at runtime:
 * :mod:`repro.governor.phases` — classify running work as
   compress / write / idle from workload kinds or span names;
 * :mod:`repro.governor.policies` — the Governor interface, the shared
-  selection objective, and the static (Eqn. 3) and oracle policies;
+  selection objective (a slowdown budget over
+  :func:`~repro.core.objectives.solve_frequency`), and the static
+  (Eqn. 3) and oracle policies;
 * :mod:`repro.governor.controller` — :class:`AdaptiveGovernor`, which
   learns ``P(f) = a·f^b + c`` and the runtime sensitivity online and
   converges to the paper's optimum without being told it;
@@ -35,7 +37,6 @@ from repro.governor.policies import (
     GovernorReport,
     OracleGovernor,
     StaticGovernor,
-    choose_frequency,
 )
 from repro.governor.simulate import GovernedIOResult, simulate_governed_io
 from repro.governor.telemetry import (
@@ -62,7 +63,6 @@ __all__ = [
     "StaticGovernor",
     "OracleGovernor",
     "AdaptiveGovernor",
-    "choose_frequency",
     "DEFAULT_SLOWDOWN_BUDGETS",
     "DEFAULT_HYSTERESIS",
     "GovernorSpec",

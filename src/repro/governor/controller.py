@@ -13,8 +13,9 @@ The control loop per phase:
    1 + s·(fmax/f − 1)`` by closed-form least squares over per-byte
    runtimes.
 3. **Choose** — run the fitted curves through the same
-   :func:`~repro.governor.policies.choose_frequency` objective the
-   oracle uses (slowdown budget, energy hysteresis).
+   :func:`~repro.core.objectives.solve_frequency` objective the oracle
+   uses (slowdown budget, energy hysteresis, the max clock when the
+   budget is infeasible).
 4. **Explore or exploit** — with a decaying, seeded probability, probe
    a grid neighbour of the target instead of the target itself; after
    :attr:`converge_after` consecutive identical targets the phase is
@@ -39,7 +40,7 @@ from repro.governor.policies import (
     DEFAULT_HYSTERESIS,
     DEFAULT_SLOWDOWN_BUDGETS,
     Governor,
-    choose_frequency,
+    _budgeted_frequency,
 )
 from repro.governor.telemetry import TelemetryBus, TelemetrySample
 from repro.hardware.cpu import CpuSpec
@@ -270,10 +271,11 @@ class AdaptiveGovernor(Governor):
         sens = state.sensitivity
         fmax = self.cpu.fmax_ghz
         p_ref = float(fit.predict(fmax))
-        return choose_frequency(
-            self._grid,
-            lambda f: float(fit.predict(f)) / p_ref,
-            lambda f: sens * (fmax / f - 1.0),
+        grid = self.cpu.available_frequencies()
+        return _budgeted_frequency(
+            grid,
+            fit.predict(grid) / p_ref,
+            1.0 + sens * (fmax / grid - 1.0),
             self.budgets[phase],
             self.hysteresis,
         )

@@ -16,15 +16,16 @@ determinism contract is that a fixed seed makes the adaptive trace
 byte-identical across runs, which only works if every decision is
 recorded the same way.
 
-The selection objective lives here in :func:`choose_frequency` so the
-oracle and the adaptive controller provably optimize the *same* thing:
-minimize modeled energy ``P(f)·t(f)`` over the DVFS grid subject to a
-per-phase slowdown budget, preferring the lowest feasible frequency
-(max power saving) unless a faster point improves energy by more than
-the hysteresis margin. On the calibrated Broadwell curves this lands
-exactly on Eqn. 3's grid points (1.75 / 1.70 GHz), which is what makes
-the "converges to the static optimum without being told it" acceptance
-test meaningful.
+The oracle and the adaptive controller optimize the *same* thing,
+through :func:`~repro.core.objectives.solve_frequency`: minimize
+modeled energy ``P(f)·t(f)`` over the DVFS grid subject to a per-phase
+slowdown budget, preferring the lowest feasible frequency (max power
+saving) unless a faster point improves energy by more than the
+hysteresis margin. When no clock meets the budget they take the max
+clock (never slow down more than asked). On the calibrated Broadwell
+curves this lands exactly on Eqn. 3's grid points (1.75 / 1.70 GHz),
+which is what makes the "converges to the static optimum without being
+told it" acceptance test meaningful.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ import abc
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.core.objectives import InfeasibleSlowdownError, solve_frequency
 from repro.core.tuning import PAPER_POLICY, TuningPolicy
 from repro.governor.phases import Phase
 from repro.governor.telemetry import TelemetryBus, TelemetrySample
@@ -44,7 +46,6 @@ from repro.hardware.workload import FREQUENCY_SENSITIVITY, stage_kind
 __all__ = [
     "DEFAULT_SLOWDOWN_BUDGETS",
     "DEFAULT_HYSTERESIS",
-    "choose_frequency",
     "GovernorReport",
     "Governor",
     "StaticGovernor",
@@ -68,37 +69,17 @@ DEFAULT_SLOWDOWN_BUDGETS: Dict[Phase, float] = {
 #: noise cannot bounce the decision around.
 DEFAULT_HYSTERESIS = 0.02
 
-def choose_frequency(
-    grid: Sequence[float],
-    power_ratio: Callable[[float], float],
-    slowdown: Callable[[float], float],
-    budget: float,
-    hysteresis: float = DEFAULT_HYSTERESIS,
-) -> float:
-    """Pick the grid frequency minimizing modeled energy under a budget.
 
-    *power_ratio(f)* is modeled power scaled to the max clock,
-    *slowdown(f)* the modeled runtime increase over the max clock.
-    Frequencies whose slowdown exceeds *budget* are infeasible; if none
-    is feasible the max clock wins (never slow down more than asked).
-    Among feasible points the lowest frequency is preferred — it buys
-    the largest power saving — unless the energy-minimizing point beats
-    it by more than *hysteresis* relative energy, in which case energy
-    wins (this is what lets a governor race back to the max clock when
-    a perturbed curve makes slowing down counterproductive).
-    """
-    grid = [float(f) for f in grid]
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    feasible = [f for f in grid if slowdown(f) <= budget + 1e-12]
-    if not feasible:
-        return float(max(grid))
-    energy = {f: power_ratio(f) * (1.0 + slowdown(f)) for f in feasible}
-    floor = min(feasible)
-    best = min(feasible, key=lambda f: (energy[f], f))
-    if energy[floor] - energy[best] > hysteresis * energy[floor]:
-        return float(best)
-    return float(floor)
+def _budgeted_frequency(grid, power, runtime, budget, hysteresis) -> float:
+    """The governors' pick on the ascending *grid*: energy minimized by
+    :func:`solve_frequency` within a slowdown *budget*, or the max clock
+    when no point meets it."""
+    try:
+        return solve_frequency(
+            grid, power, runtime, max_slowdown=budget, hysteresis=hysteresis
+        )
+    except InfeasibleSlowdownError:
+        return float(grid[-1])
 
 
 @dataclass(frozen=True)
@@ -152,8 +133,9 @@ class Governor(abc.ABC):
         """Frequency for the next run of *phase*, snapped and clamped.
 
         *cap_ghz* is a hard ceiling from the resilience layer (a DVFS
-        throttle fault); the governor must never command a clock above
-        it, whatever the policy wants.
+        throttle fault) or a watt budget; the governor must never
+        command a clock above it, whatever the policy wants, so a capped
+        decision takes the highest grid point under the cap.
         """
         from repro.observability import get_registry, get_tracer
 
@@ -163,9 +145,10 @@ class Governor(abc.ABC):
             freq, mode = self._decide(phase)
             freq = min(max(freq, self.cpu.fmin_ghz), self.cpu.fmax_ghz)
             if cap_ghz is not None and freq > cap_ghz:
-                freq = max(cap_ghz, self.cpu.fmin_ghz)
+                freq = self.cpu.floor_frequency(cap_ghz)
                 mode = f"{mode}+capped"
-            freq = self.cpu.snap_frequency(freq)
+            else:
+                freq = self.cpu.snap_frequency(freq)
             sp.set(freq_ghz=freq, mode=mode)
             if infeasible_cap:
                 sp.set(capped_below_fmin=True)
@@ -313,10 +296,12 @@ class OracleGovernor(Governor):
             fmax = self.cpu.fmax_ghz
             p_ref = self.power_curve.power_watts(self.cpu, fmax, kind)
             sens = FREQUENCY_SENSITIVITY[(kind, self.cpu.arch)]
-            choice = choose_frequency(
-                self.cpu.available_frequencies(),
-                lambda f: self.power_curve.power_watts(self.cpu, f, kind) / p_ref,
-                lambda f: sens * (fmax / f - 1.0),
+            grid = self.cpu.available_frequencies().tolist()
+            choice = _budgeted_frequency(
+                grid,
+                [self.power_curve.power_watts(self.cpu, f, kind) / p_ref
+                 for f in grid],
+                [1.0 + sens * (fmax / f - 1.0) for f in grid],
                 self.budgets[phase],
                 self.hysteresis,
             )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -14,6 +15,7 @@ __all__ = [
     "SKYLAKE_4114",
     "CASCADELAKE_6230",
     "KNOWN_CPUS",
+    "floor_index",
     "get_cpu",
     "table2_rows",
 ]
@@ -87,10 +89,26 @@ class CpuSpec:
         grid = self.available_frequencies()
         return float(grid[np.argmin(np.abs(grid - freq_ghz))])
 
+    def floor_frequency(self, cap_ghz: float) -> float:
+        """Highest grid frequency at or below *cap_ghz*; fmin when the
+        cap lies below the grid.
+
+        The clock-cap rule: a throttle or watt-budget ceiling never
+        rounds up onto a faster grid point.
+        """
+        grid = self.available_frequencies()
+        return float(grid[floor_index(grid, cap_ghz)])
+
     @property
     def frequency_span(self) -> float:
         """fmax - fmin in GHz."""
         return self.fmax_ghz - self.fmin_ghz
+
+
+def floor_index(grid, cap_ghz: float) -> int:
+    """Index of the highest point of the ascending *grid* that is
+    ``<= cap_ghz + 1e-9``, or 0 when the cap lies below the grid."""
+    return max(bisect_right(grid, cap_ghz + 1e-9) - 1, 0)
 
 
 @lru_cache(maxsize=256)

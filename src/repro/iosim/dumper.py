@@ -324,9 +324,9 @@ class DataDumper:
 
                 engine._count_fault(FaultKind.DVFS_THROTTLE)
                 compress_faults.append(FaultKind.DVFS_THROTTLE.value)
-                # Clamp to the DVFS floor: a thermal event cannot push
-                # the clock below fmin.
-                cap_freq = cpu.snap_frequency(max(cap * cpu.fmax_ghz, cpu.fmin_ghz))
+                # The highest grid clock under the cap; fmin when the
+                # cap lies below the DVFS floor.
+                cap_freq = cpu.floor_frequency(cap * cpu.fmax_ghz)
 
         # A watt-budget phase cap merges with any thermal cap (the
         # tighter one binds). Budget caps may be 0.0 — "infeasible" —

@@ -51,14 +51,15 @@ def resolve_stage_frequency(
     An unpinned stage under a *governor* takes the governor's pick for
     *phase*; the governor honours *cap_ghz* itself and tags a cap below
     fmin ``capped_below_fmin``. Otherwise the stage runs at its *pinned*
-    clock, or fmax when unpinned; *cap_ghz* clamps it, and an infeasible
-    cap (below fmin, such as a watt budget's ``0.0``) pins fmin.
+    clock, or fmax when unpinned, clamped to the highest grid clock
+    under *cap_ghz*; an infeasible cap (below fmin, such as a watt
+    budget's ``0.0``) pins fmin.
     """
     if governor is not None and pinned is None:
         return governor.decide(phase, cap_ghz=cap_ghz)
     freq = cpu.fmax_ghz if pinned is None else pinned
     if cap_ghz is not None:
-        freq = min(freq, max(cap_ghz, cpu.fmin_ghz))
+        freq = min(freq, cpu.floor_frequency(cap_ghz))
     return freq
 
 

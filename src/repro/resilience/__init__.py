@@ -23,11 +23,7 @@ from repro.resilience.faults import (
     FaultSpec,
     example_plan,
 )
-from repro.resilience.policies import (
-    RecoveryPolicy,
-    RetryPolicy,
-    retune_write_frequency,
-)
+from repro.resilience.policies import RecoveryPolicy, RetryPolicy
 from repro.resilience.report import AttemptRecord, SnapshotResilience
 
 __all__ = [
@@ -38,7 +34,6 @@ __all__ = [
     "example_plan",
     "RetryPolicy",
     "RecoveryPolicy",
-    "retune_write_frequency",
     "FaultInjector",
     "ResilienceEngine",
     "CrashingSlabWrapper",

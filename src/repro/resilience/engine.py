@@ -29,13 +29,14 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.objectives import solve_frequency
 from repro.hardware.workload import write_workload
 from repro.iosim.burstbuffer import BurstBufferTarget
 from repro.iosim.nfs import NfsTarget
 from repro.iosim.stage import StageReport, run_stage
 from repro.observability import get_registry, get_tracer
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
-from repro.resilience.policies import RecoveryPolicy, retune_write_frequency
+from repro.resilience.policies import RecoveryPolicy
 from repro.resilience.report import AttemptRecord, SnapshotResilience
 
 __all__ = [
@@ -292,10 +293,9 @@ class ResilienceEngine:
                 elif spec.kind is FaultKind.NFS_STALL:
                     stall_s += spec.stall_s
                 elif spec.kind is FaultKind.DVFS_THROTTLE:
-                    # A thermal event cannot push the clock below the
-                    # DVFS floor; clamp so deep throttles stay on-grid.
-                    cap = max(spec.severity * node.cpu.fmax_ghz,
-                              node.cpu.fmin_ghz)
+                    # A cap below the DVFS floor pins fmin: a thermal
+                    # event cannot push the clock off the grid.
+                    cap = spec.severity * node.cpu.fmax_ghz
                     cap_ghz = cap if cap_ghz is None else min(cap_ghz, cap)
                 elif spec.kind.fails_attempt and failing is None:
                     failing = spec
@@ -305,9 +305,9 @@ class ResilienceEngine:
             )
             f_eff = freq_ghz
             if cap_ghz is not None:
-                f_eff = min(f_eff, node.cpu.snap_frequency(cap_ghz))
+                f_eff = min(f_eff, node.cpu.floor_frequency(cap_ghz))
             if policy.degraded_retune and (eff_nfs is not nfs or cap_ghz is not None):
-                f_eff = retune_write_frequency(node, workload, cap_ghz=cap_ghz)
+                f_eff = _degraded_write_frequency(node, workload, cap_ghz)
 
             if stall_s > 0.0:
                 stall_power = (
@@ -468,6 +468,22 @@ class ResilienceEngine:
                 # the checksum runs; still a detection.
                 detected.append(chunk_index)
         return tuple(detected)
+
+
+def _degraded_write_frequency(node, workload, cap_ghz: Optional[float]) -> float:
+    """The degraded retune: the grid clock minimizing the node's
+    ground-truth write energy under *cap_ghz*.
+
+    The noise-free ``true_*`` surface never touches the node's
+    measurement RNG.
+    """
+    grid = node.cpu.available_frequencies()
+    return solve_frequency(
+        grid,
+        [node.true_power_w(workload, f) for f in grid],
+        [node.true_runtime_s(workload, f) for f in grid],
+        cap_ghz=cap_ghz,
+    )
 
 
 def _chunk_body_offsets(container) -> List[Tuple[int, int]]:

@@ -14,9 +14,10 @@ Four reactions, composable through :class:`RecoveryPolicy`:
 ``degraded_retune``
     When the NFS bandwidth degrades or a throttle caps the clock, the
     Eqn. 3 recommendation no longer holds; re-solve the write frequency
-    for the *degraded* path by minimizing modeled energy
-    ``P(f) · t(f)`` over the DVFS grid (the same objective the paper's
-    model-optimal ablation uses).
+    for the *degraded* path by minimizing the node's ground-truth
+    energy ``P(f) · t(f)`` over the DVFS grid under the cap, through
+    :func:`~repro.core.objectives.solve_frequency` (the same objective
+    the paper's model-optimal ablation uses).
 ``skip_on_exhaustion``
     Last resort: drop the snapshot and report the loss, rather than
     aborting the whole campaign. With it disabled, exhaustion raises
@@ -30,11 +31,10 @@ from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.hardware.workload import Workload
 from repro.resilience.faults import FaultPlanError
 from repro.utils.validation import check_in_range, check_nonnegative
 
-__all__ = ["RetryPolicy", "RecoveryPolicy", "retune_write_frequency"]
+__all__ = ["RetryPolicy", "RecoveryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -133,25 +133,3 @@ class RecoveryPolicy:
             skip_on_exhaustion=bool(doc.get("skip_on_exhaustion", True)),
         )
 
-
-def retune_write_frequency(
-    node,
-    workload: Workload,
-    cap_ghz: Optional[float] = None,
-) -> float:
-    """Energy-optimal pinned frequency for a (degraded) write workload.
-
-    Re-solves the paper's tuning objective against the node's noise-free
-    ground truth: over the DVFS grid (optionally capped by a throttle
-    event), pick the frequency minimizing ``P(f) · t(f)`` for *workload*.
-    Deterministic — it never touches the node's measurement RNG.
-    """
-    grid = node.cpu.available_frequencies()
-    if cap_ghz is not None:
-        capped = grid[grid <= cap_ghz + 1e-9]
-        grid = capped if len(capped) else grid[:1]
-    energies = [
-        node.true_power_w(workload, f) * node.true_runtime_s(workload, f)
-        for f in grid
-    ]
-    return float(grid[int(np.argmin(energies))])

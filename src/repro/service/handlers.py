@@ -134,7 +134,7 @@ class RequestHandlers:
             "model": entry.name,
             "version": entry.version,
             "fingerprint": entry.fingerprint,
-            "arch": decision.arch,
+            "arch": decision.cpu,
             "stage": decision.stage,
             "policy": policy_name,
             "objective": decision.objective,

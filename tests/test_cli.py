@@ -134,6 +134,18 @@ class TestCharacterizeTuneDump:
                      "--policy", "optimal", "--objective", "edp"]) == 0
         assert "optimal/edp" in capsys.readouterr().out
 
+    def test_tune_skips_a_stage_missing_from_the_bundle(
+        self, bundle_path, tmp_path, capsys
+    ):
+        doc = json.loads(bundle_path.read_text())
+        del doc["transit_power"]["Skylake"]
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps(doc))
+        assert main(["tune", "--models", str(partial)]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if "skylake" in line]
+        assert len(rows) == 1 and "compress" in rows[0]
+
     def test_dump(self, bundle_path, capsys):
         assert main(["dump", "--models", str(bundle_path), "--arch", "skylake",
                      "--target-gb", "64", "--scale", "32"]) == 0

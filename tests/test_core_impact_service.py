@@ -103,6 +103,16 @@ class TestTuningService:
         with pytest.raises(KeyError, match="unknown CPU"):
             service.decide("epyc", "compress")
 
+    @pytest.mark.parametrize("name, arch", [
+        ("Broadwell", "broadwell"), ("SKYLAKE", "skylake"),
+        ("m510", "broadwell"), ("c220g5", "skylake"),
+    ])
+    def test_cpu_aliases_resolve_to_canonical_arch(self, service, name, arch):
+        for stage in ("compress", "write"):
+            d = service.decide(name, stage)
+            assert d.cpu == arch
+            assert d == service.decide(arch, stage)
+
     def test_known_cpu_missing_from_bundle(self, service):
         # cascadelake is a registered CPU but this bundle has no models.
         with pytest.raises(KeyError, match="bundle has no"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.objectives import Objective, objective_curve, optimal_frequency
+from repro.core.objectives import Objective, objective_curve, solve_frequency
 from repro.core.power_model import PowerModel
 from repro.core.runtime_model import RuntimeModel
 from repro.hardware.cpu import BROADWELL_D1548
@@ -12,6 +12,12 @@ from repro.utils.stats import GoodnessOfFit
 GOF = GoodnessOfFit(0.0, 0.0, 1.0)
 POWER = PowerModel("Broadwell", 0.0064, 5.315, 0.7429, 0.8, 2.0, GOF)
 RUNTIME = RuntimeModel("compress", 0.55, 2.0, GOF)
+
+
+def optimum(*objective):
+    """The solver on POWER/RUNTIME over the Broadwell grid."""
+    grid = BROADWELL_D1548.available_frequencies()
+    return solve_frequency(grid, POWER.predict(grid), RUNTIME.predict(grid), *objective)
 
 
 class TestObjective:
@@ -43,25 +49,21 @@ class TestObjectiveCurve:
 
 class TestOptimalFrequency:
     def test_power_objective_picks_fmin(self):
-        f = optimal_frequency(POWER, RUNTIME, BROADWELL_D1548, Objective.POWER)
+        f = optimum(Objective.POWER)
         assert f == pytest.approx(0.8)
 
     def test_delay_aversion_monotone_in_frequency(self):
         # More delay-averse objectives never pick lower frequencies.
         freqs = [
-            optimal_frequency(POWER, RUNTIME, BROADWELL_D1548, obj)
+            optimum(obj)
             for obj in (Objective.POWER, Objective.ENERGY, Objective.EDP,
                         Objective.ED2P)
         ]
         assert freqs == sorted(freqs)
 
     def test_ed2p_near_base_clock(self):
-        f = optimal_frequency(POWER, RUNTIME, BROADWELL_D1548, Objective.ED2P)
+        f = optimum(Objective.ED2P)
         assert f >= 0.9 * 2.0
 
     def test_default_is_energy(self):
-        from repro.core.tuning import optimal_energy_frequency
-
-        assert optimal_frequency(POWER, RUNTIME, BROADWELL_D1548) == pytest.approx(
-            optimal_energy_frequency(POWER, RUNTIME, BROADWELL_D1548)
-        )
+        assert optimum() == pytest.approx(optimum(Objective.ENERGY))

@@ -14,13 +14,14 @@ import json
 
 import pytest
 
+from repro.core.objectives import solve_frequency
 from repro.governor import (
+    DEFAULT_HYSTERESIS,
     AdaptiveGovernor,
     GovernorSpec,
     OracleGovernor,
     Phase,
     StaticGovernor,
-    choose_frequency,
     make_governor,
     resolve_governor,
     simulate_governed_io,
@@ -42,14 +43,23 @@ def run_sim(kind, curve=None, seed=0, snapshots=24, **gov_kw):
     return simulate_governed_io(node, governor, snapshots=snapshots), governor
 
 
+def governed_choice(grid, power_ratio, slowdown, budget,
+                    hysteresis=DEFAULT_HYSTERESIS):
+    """The governors' objective on callables over *grid*."""
+    return solve_frequency(
+        grid, [power_ratio(f) for f in grid], [1.0 + slowdown(f) for f in grid],
+        max_slowdown=budget, hysteresis=hysteresis,
+    )
+
+
 class TestChooseFrequency:
     GRID = [0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0]
 
     def test_prefers_lowest_feasible_frequency(self):
         # Power falls exactly as runtime grows, so modeled energy is
         # flat; the floor of the feasible set must win.
-        f = choose_frequency(self.GRID, lambda f: f / 2.0,
-                             lambda f: 2.0 / f - 1.0, budget=0.5)
+        f = governed_choice(self.GRID, lambda f: f / 2.0,
+                            lambda f: 2.0 / f - 1.0, budget=0.5)
         assert f == pytest.approx(1.4)
 
     def test_energy_wins_only_past_the_hysteresis_margin(self):
@@ -61,17 +71,19 @@ class TestChooseFrequency:
         def steep(f):  # floor clearly worse: energy wins
             return 1.0 - 0.2 * (f - 0.8)
 
-        assert choose_frequency(self.GRID, mild, slowdown, 1.0) == 0.8
-        assert choose_frequency(self.GRID, steep, slowdown, 1.0) == 2.0
+        assert governed_choice(self.GRID, mild, slowdown, 1.0) == 0.8
+        assert governed_choice(self.GRID, steep, slowdown, 1.0) == 2.0
 
     def test_infeasible_budget_falls_back_to_fmax(self):
-        f = choose_frequency(self.GRID, lambda f: 1.0,
-                             lambda f: 10.0, budget=0.1)
+        # No clock meets a negative budget: the governor takes fmax
+        # (2.0 GHz on Broadwell) rather than slow down more than asked.
+        f = OracleGovernor(CPU, CalibratedPowerCurve(),
+                           budgets={Phase.COMPRESS: -0.5}).decide(Phase.COMPRESS)
         assert f == 2.0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            choose_frequency([], lambda f: 1.0, lambda f: 0.0, 0.1)
+            solve_frequency([], [], [], max_slowdown=0.1)
 
 
 class TestStaticAndOracle:
@@ -98,6 +110,18 @@ class TestStaticAndOracle:
     def test_decide_clamps_cap_to_fmin(self):
         gov = StaticGovernor(CPU)
         assert gov.decide(Phase.COMPRESS, cap_ghz=0.1) == CPU.fmin_ghz
+
+    def test_off_grid_cap_rounds_down(self):
+        # 1.735 GHz lies between the 1.70 and 1.75 grid points; a cap
+        # must never round up over itself.
+        gov = StaticGovernor(CPU)
+        assert gov.decide("compress", cap_ghz=1.735) == 1.70
+        assert gov.trace[-1]["mode"] == "static+capped"
+
+    def test_cap_above_the_pick_leaves_it_untagged(self):
+        gov = StaticGovernor(CPU)
+        assert gov.decide("compress", cap_ghz=1.78) == 1.75
+        assert gov.trace[-1]["mode"] == "static"
 
 
 class TestAdaptiveValidation:

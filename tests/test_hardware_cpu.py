@@ -80,6 +80,21 @@ class TestSnap:
             BROADWELL_D1548.snap_frequency(0.5)
 
 
+class TestFloor:
+    @pytest.mark.parametrize("cap, expected", [
+        (1.76, 1.75), (1.78, 1.75), (1.75, 1.75), (1.75 - 1e-10, 1.75),
+        (1.735, 1.70), (9.0, 2.0), (0.79, 0.8), (0.0, 0.8),
+    ])
+    def test_highest_grid_point_under_the_cap(self, cap, expected):
+        assert BROADWELL_D1548.floor_frequency(cap) == expected
+
+    def test_floor_never_above_the_cap_inside_the_range(self):
+        grid = SKYLAKE_4114.available_frequencies()
+        for cap in np.linspace(grid[0], grid[-1], 101):
+            f = SKYLAKE_4114.floor_frequency(float(cap))
+            assert f in grid and f <= cap + 1e-9
+
+
 class TestLookup:
     @pytest.mark.parametrize("key,expected", [
         ("broadwell", "Intel Xeon D-1548"),

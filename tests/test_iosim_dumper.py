@@ -5,10 +5,11 @@ import pytest
 
 from repro.compressors import SZCompressor, ZFPCompressor
 from repro.data import load_field
-from repro.hardware.cpu import BROADWELL_D1548
+from repro.hardware.cpu import BROADWELL_D1548, get_cpu
 from repro.hardware.node import SimulatedNode
 from repro.iosim.dumper import DataDumper, measure_ratio
 from repro.observability import get_registry
+from repro.resilience import FaultKind, FaultPlan, FaultSpec, RecoveryPolicy
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,27 @@ class TestChunkedDump:
         node = SimulatedNode(BROADWELL_D1548)
         with pytest.raises(ValueError):
             DataDumper(node, chunk_bytes=0)
+
+
+class TestThrottledDump:
+    @pytest.mark.parametrize("retune", [False, True])
+    @pytest.mark.parametrize("arch, severity, expected", [
+        ("skylake", 0.9, 1.95),  # cap 1.98 GHz
+        ("broadwell", 0.87, 1.70),  # cap 1.74 GHz
+    ])
+    def test_off_grid_throttle_rounds_both_stages_down(
+        self, sample, arch, severity, expected, retune
+    ):
+        node = SimulatedNode(get_cpu(arch), power_noise=0.0,
+                             runtime_noise=0.0, seed=0)
+        plan = FaultPlan(specs=(FaultSpec(FaultKind.DVFS_THROTTLE,
+                                          probability=1.0, severity=severity),))
+        rep = DataDumper(node, repeats=1).dump(
+            SZCompressor(), sample, 1e-2, int(10e9), fault_plan=plan,
+            policy=RecoveryPolicy(degraded_retune=retune),
+        )
+        assert rep.compress.freq_ghz == expected
+        assert rep.write.freq_ghz == expected
 
 
 def _compress_calls():

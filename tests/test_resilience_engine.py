@@ -189,6 +189,21 @@ class TestRunWrite:
         assert freq == pytest.approx(node.cpu.fmin_ghz)
         assert "dvfs-throttle" in res.faults
 
+    @pytest.mark.parametrize("retune", [False, True])
+    @pytest.mark.parametrize("arch, severity, expected", [
+        ("skylake", 0.9, 1.95),  # cap 1.98 GHz
+        ("broadwell", 0.87, 1.70),  # cap 1.74 GHz
+    ])
+    def test_off_grid_throttle_rounds_down(self, arch, severity, expected, retune):
+        node = SimulatedNode(get_cpu(arch), seed=0)
+        plan = plan_of(FaultSpec(FaultKind.DVFS_THROTTLE, probability=1.0,
+                                 severity=severity))
+        _, freq, _, _, res = self.run(
+            node, plan, RecoveryPolicy(degraded_retune=retune)
+        )
+        assert freq == expected
+        assert res.records[-1].freq_ghz == expected
+
     def test_policy_from_plan_doc(self, node):
         plan = plan_of(
             FaultSpec(FaultKind.NFS_HARD_FAILURE, probability=1.0),

@@ -14,8 +14,8 @@ from repro.resilience import (
     RecoveryPolicy,
     RetryPolicy,
     example_plan,
-    retune_write_frequency,
 )
+from repro.resilience.engine import _degraded_write_frequency
 
 
 class TestFaultSpec:
@@ -209,19 +209,19 @@ class TestRetuneWriteFrequency:
 
     def test_returns_grid_frequency(self, node):
         wl = write_workload(10**8, 100e6, name="retune-test")
-        freq = retune_write_frequency(node, wl)
+        freq = _degraded_write_frequency(node, wl, None)
         assert freq in np.asarray(node.cpu.available_frequencies())
 
     def test_cap_is_respected(self, node):
         wl = write_workload(10**8, 100e6, name="retune-test")
         grid = np.asarray(node.cpu.available_frequencies())
         cap = float(np.median(grid))
-        freq = retune_write_frequency(node, wl, cap_ghz=cap)
+        freq = _degraded_write_frequency(node, wl, cap_ghz=cap)
         assert freq <= cap + 1e-9
 
     def test_minimizes_true_energy(self, node):
         wl = write_workload(10**8, 100e6, name="retune-test")
-        freq = retune_write_frequency(node, wl)
+        freq = _degraded_write_frequency(node, wl, None)
         chosen = node.true_power_w(wl, freq) * node.true_runtime_s(wl, freq)
         for f in node.cpu.available_frequencies():
             other = node.true_power_w(wl, f) * node.true_runtime_s(wl, f)
@@ -230,5 +230,5 @@ class TestRetuneWriteFrequency:
     def test_cap_below_grid_falls_back_to_lowest(self, node):
         wl = write_workload(10**8, 100e6, name="retune-test")
         grid = np.asarray(node.cpu.available_frequencies())
-        freq = retune_write_frequency(node, wl, cap_ghz=float(grid.min()) / 2)
+        freq = _degraded_write_frequency(node, wl, cap_ghz=float(grid.min()) / 2)
         assert freq == float(grid.min())

@@ -10,6 +10,7 @@ import urllib.request
 import pytest
 
 from repro.observability.metrics import get_registry as get_metrics_registry
+from repro.service.errors import NotFoundError
 from repro.service.handlers import RequestHandlers
 from repro.service.http import ServiceConfig, TuningServer, _Handler
 from repro.service.registry import ModelRegistry
@@ -153,6 +154,30 @@ class TestTune:
             "model": "prod", "arch": "broadwell", "stage": "transmogrify",
         })
         assert status == 400
+
+
+class TestTuneArchNames:
+    """``/v1/tune`` takes every CPU name ``/v1/decide`` takes."""
+
+    @pytest.fixture
+    def handlers(self):
+        registry = ModelRegistry()
+        registry.put("prod", make_bundle())
+        return RequestHandlers(registry)
+
+    @pytest.mark.parametrize("arch", ["Broadwell", "BROADWELL", "m510"])
+    def test_alias_answers_for_the_canonical_arch(self, handlers, arch):
+        payload = {"model": "prod", "stage": "compress"}
+        doc = handlers("tune", dict(payload, arch=arch))
+        assert doc == handlers("tune", dict(payload, arch="broadwell"))
+        assert doc["arch"] == "broadwell"
+        handlers("decide", {"arch": arch, "ratio": 4.0, "error_bound": 1e-3,
+                            "nbytes": 10**9})
+
+    def test_known_cpu_missing_from_bundle_is_404(self, handlers):
+        with pytest.raises(NotFoundError, match="bundle has no"):
+            handlers("tune", {"model": "prod", "arch": "cascadelake",
+                              "stage": "compress"})
 
 
 class TestDecide:
