@@ -30,7 +30,7 @@ def test_bench_ablation_tuning(benchmark, ctx):
             f_cap_c = recommend(node.cpu, "compress", comp_model, comp_rt,
                                 max_slowdown=0.10).freq_ghz
 
-            from repro.iosim.dumper import DataDumper
+            from repro.iosim.dumper import DataDumper, RunConfig
             from repro.compressors import SZCompressor
             from repro.data import load_field
 
@@ -42,8 +42,8 @@ def test_bench_ablation_tuning(benchmark, ctx):
                 ("model-optimal", f_opt_c, f_opt_w),
                 ("optimal<=10%slow", f_cap_c, f_opt_w),
             ):
-                tuned = dumper.dump(SZCompressor(), arr, 1e-2, int(512e9),
-                                    compress_freq_ghz=fc, write_freq_ghz=fw)
+                run = RunConfig(1e-2, compress_freq_ghz=fc, write_freq_ghz=fw)
+                tuned = dumper.dump(SZCompressor(), arr, run, int(512e9))
                 rows.append(
                     {
                         "arch": arch,

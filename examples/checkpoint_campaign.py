@@ -11,7 +11,7 @@ is diluted to a fraction of a percent.
 """
 
 from repro import SZCompressor, default_nodes, load_field
-from repro.workflow.campaign import CheckpointCampaign, run_campaign
+from repro.workflow.campaign import CheckpointCampaign, RunConfig, run_campaign
 from repro.workflow.report import render_table
 
 
@@ -26,11 +26,12 @@ def main() -> None:
     for node in default_nodes():
         cpu = node.cpu
         base = run_campaign(node, SZCompressor(), arr, 1e-2, campaign)
-        tuned = run_campaign(
-            node, SZCompressor(), arr, 1e-2, campaign,
+        eqn3 = RunConfig(
+            1e-2,
             compress_freq_ghz=cpu.snap_frequency(0.875 * cpu.fmax_ghz),
             write_freq_ghz=cpu.snap_frequency(0.85 * cpu.fmax_ghz),
         )
+        tuned = run_campaign(node, SZCompressor(), arr, eqn3, campaign)
         rows.append(
             {
                 "arch": cpu.arch,

@@ -11,7 +11,7 @@ into the tuned dump pipeline.
 
 from repro import SZCompressor, default_nodes, load_field
 from repro.core.advisor import ErrorBoundAdvisor
-from repro.iosim import DataDumper
+from repro.iosim import DataDumper, RunConfig
 from repro.workflow.report import render_table
 
 
@@ -30,11 +30,12 @@ def main() -> None:
     dumper = DataDumper(node)
     cpu = node.cpu
     base = dumper.dump(SZCompressor(), arr, eb_storage, int(512e9))
-    tuned = dumper.dump(
-        SZCompressor(), arr, eb_storage, int(512e9),
+    eqn3 = RunConfig(
+        eb_storage,
         compress_freq_ghz=cpu.snap_frequency(0.875 * cpu.fmax_ghz),
         write_freq_ghz=cpu.snap_frequency(0.85 * cpu.fmax_ghz),
     )
+    tuned = dumper.dump(SZCompressor(), arr, eqn3, int(512e9))
     saved = base.total_energy_j - tuned.total_energy_j
     print(f"\n512 GB dump at the advised bound: ratio {base.compression_ratio:.1f}x, "
           f"saved {saved / 1e3:.1f} kJ "

@@ -11,7 +11,7 @@ slightly lower than compression (decode is more memory-bound).
 """
 
 from repro import SZCompressor, default_nodes, load_field
-from repro.iosim import DataDumper, DataLoader
+from repro.iosim import DataDumper, DataLoader, RunConfig
 from repro.workflow.report import render_table
 
 
@@ -26,8 +26,8 @@ def main() -> None:
         f_io = cpu.snap_frequency(0.85 * cpu.fmax_ghz)
         for eb in (1e-1, 1e-3):
             dump_base = dumper.dump(SZCompressor(), arr, eb, int(512e9))
-            dump_tuned = dumper.dump(SZCompressor(), arr, eb, int(512e9),
-                                     compress_freq_ghz=f_codec, write_freq_ghz=f_io)
+            eqn3 = RunConfig(eb, compress_freq_ghz=f_codec, write_freq_ghz=f_io)
+            dump_tuned = dumper.dump(SZCompressor(), arr, eqn3, int(512e9))
             rest_base = loader.restore(SZCompressor(), arr, eb, int(512e9))
             rest_tuned = loader.restore(SZCompressor(), arr, eb, int(512e9),
                                         read_freq_ghz=f_io,

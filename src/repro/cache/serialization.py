@@ -46,7 +46,7 @@ def _ensure_registered() -> None:
     from repro.hardware.perf import PowerSample
     from repro.hardware.workload import Workload, WorkloadKind
     from repro.iosim.cluster import ClusterDumpReport
-    from repro.iosim.dumper import DumpReport
+    from repro.iosim.dumper import DumpReport, RunConfig
     from repro.iosim.stage import StageReport
     from repro.iosim.nfs import NfsTarget
     from repro.powercap.controller import PowercapReport
@@ -54,11 +54,7 @@ def _ensure_registered() -> None:
     from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
     from repro.resilience.report import AttemptRecord, SnapshotResilience
     from repro.utils.stats import GoodnessOfFit
-    from repro.workflow.campaign import (
-        CampaignPoint,
-        CampaignReport,
-        CheckpointCampaign,
-    )
+    from repro.workflow.campaign import CampaignReport, CheckpointCampaign
     from repro.workflow.sweep import SweepConfig
 
     for cls in (
@@ -67,7 +63,7 @@ def _ensure_registered() -> None:
         StageReport, DumpReport, ClusterDumpReport, PowercapReport,
         TaskStat, ParallelStats,
         AttemptRecord, SnapshotResilience, FaultSpec, FaultPlan,
-        CampaignPoint, CampaignReport, CheckpointCampaign, SweepConfig,
+        RunConfig, CampaignReport, CheckpointCampaign, SweepConfig,
         GovernorReport, GovernorSpec,
     ):
         _DATACLASSES[cls.__name__] = cls

@@ -21,7 +21,7 @@ Example session::
 
     repro-tool characterize --output models.json --repeats 5
     repro-tool tune --models models.json --policy eqn3
-    repro-tool dump --models models.json --arch skylake --target-gb 512
+    repro-tool dump --arch skylake --target-gb 512
 """
 
 from __future__ import annotations
@@ -111,6 +111,37 @@ def _check_governor_plan(name, plan) -> None:
             "same DVFS knob, making the run's energy unattributable; "
             "drop one of them"
         )
+
+
+def _run_legs(args, cpu, plan):
+    """The base and tuned :class:`~repro.iosim.dumper.RunConfig` of a
+    ``dump`` or ``campaign``, and the tuned leg's label.
+
+    Both legs carry the bound, the watt budget and the fault plan; the
+    tuned one adds the ``--governor`` spec, or else Eqn. 3's clocks.
+    """
+    from dataclasses import replace
+
+    from repro.iosim.dumper import RunConfig
+
+    base = RunConfig(
+        args.error_bound, power_budget_w=args.power_budget_w, fault_plan=plan
+    )
+    if args.governor is not None:
+        from repro.governor import GovernorSpec
+
+        spec = GovernorSpec(kind=args.governor, seed=args.governor_seed,
+                            window=args.governor_window)
+        return base, replace(base, governor=spec), f"{args.governor} gov."
+    from repro.core.tuning import PAPER_POLICY
+    from repro.hardware.workload import WorkloadKind
+
+    tuned = replace(
+        base,
+        compress_freq_ghz=PAPER_POLICY.frequency_for(cpu, WorkloadKind.COMPRESS_SZ),
+        write_freq_ghz=PAPER_POLICY.frequency_for(cpu, WorkloadKind.WRITE),
+    )
+    return base, tuned, "Eqn. 3"
 
 
 def _add_cache_args(p: argparse.ArgumentParser) -> None:
@@ -216,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="objective for --policy optimal")
 
     p = sub.add_parser("dump", help="simulate a compress-and-dump with tuning")
-    p.add_argument("--models", required=True)
     p.add_argument("--arch", default="skylake")
     p.add_argument("--codec", default="sz")
     p.add_argument("--dataset", default="nyx")
@@ -560,16 +590,12 @@ def _cmd_tune(args) -> int:
 
 def _cmd_dump(args) -> int:
     from repro.compressors import get_compressor
-    from repro.core.persistence import ModelBundle
-    from repro.core.tuning import PAPER_POLICY
     from repro.data.registry import load_field
     from repro.hardware.cpu import get_cpu
     from repro.hardware.node import SimulatedNode
-    from repro.hardware.workload import WorkloadKind
     from repro.iosim.dumper import DataDumper, measure_ratio
 
     _check_executor_args(args)
-    bundle = ModelBundle.load(args.models)
     cpu = get_cpu(args.arch)
     node = SimulatedNode(cpu, seed=0)
     chunk_bytes = None if args.chunk_mb is None else int(args.chunk_mb * 1e6)
@@ -582,45 +608,22 @@ def _cmd_dump(args) -> int:
     target = int(args.target_gb * 1e9)
     plan = _load_fault_plan(args)
     _check_governor_plan(args.governor, plan)
-    phase_caps = None
+    base_run, tuned_run, tuned_label = _run_legs(args, cpu, plan)
+
+    # Both dumps compress the same sample at the same bound.
+    measurement = measure_ratio(codec, arr, args.error_bound, chunk_bytes,
+                                args.executor, args.workers)
+    base = dumper.dump(codec, arr, base_run, target, measurement=measurement)
+    tuned = dumper.dump(codec, arr, tuned_run, target, measurement=measurement)
+    saved = base.total_energy_j - tuned.total_energy_j
+    print(f"{args.target_gb:g} GB {args.codec} dump on {args.arch} "
+          f"(eb {args.error_bound:g}, ratio {base.compression_ratio:.2f}x):")
     if args.power_budget_w is not None:
         from repro.powercap import phase_caps_for_budget
 
         phase_caps = phase_caps_for_budget(
             cpu, node.power_curve, args.power_budget_w, codec=args.codec
         )
-
-    # Both dumps compress the same sample at the same bound.
-    measurement = measure_ratio(codec, arr, args.error_bound, chunk_bytes,
-                                args.executor, args.workers)
-    base = dumper.dump(codec, arr, args.error_bound, target, fault_plan=plan,
-                       phase_caps=phase_caps, measurement=measurement)
-    if args.governor is not None:
-        from repro.governor import make_governor
-
-        governor = make_governor(
-            args.governor, cpu,
-            seed=args.governor_seed, window=args.governor_window,
-            power_curve=node.power_curve,
-        )
-        tuned = dumper.dump(
-            codec, arr, args.error_bound, target,
-            governor=governor, fault_plan=plan, phase_caps=phase_caps,
-            measurement=measurement,
-        )
-        tuned_label = f"{args.governor} gov."
-    else:
-        tuned = dumper.dump(
-            codec, arr, args.error_bound, target,
-            compress_freq_ghz=PAPER_POLICY.frequency_for(cpu, WorkloadKind.COMPRESS_SZ),
-            write_freq_ghz=PAPER_POLICY.frequency_for(cpu, WorkloadKind.WRITE),
-            fault_plan=plan, phase_caps=phase_caps, measurement=measurement,
-        )
-        tuned_label = "Eqn. 3"
-    saved = base.total_energy_j - tuned.total_energy_j
-    print(f"{args.target_gb:g} GB {args.codec} dump on {args.arch} "
-          f"(eb {args.error_bound:g}, ratio {base.compression_ratio:.2f}x):")
-    if phase_caps is not None:
         caps = ", ".join(
             f"{phase} <= {ghz:.2f} GHz" if ghz > 0 else f"{phase} infeasible"
             for phase, ghz in sorted(phase_caps.items())
@@ -651,6 +654,7 @@ def _cmd_govern(args) -> int:
     from repro.governor import make_governor
     from repro.hardware.cpu import get_cpu
     from repro.hardware.node import SimulatedNode
+    from repro.iosim.dumper import RunConfig
     from repro.workflow.campaign import CheckpointCampaign, run_campaign
 
     if args.window < 4:
@@ -670,8 +674,9 @@ def _cmd_govern(args) -> int:
         compute_interval_s=args.interval_s,
     )
     report = run_campaign(
-        node, get_compressor(args.codec), arr, args.error_bound, campaign,
-        governor=governor, fault_plan=plan,
+        node, get_compressor(args.codec), arr,
+        RunConfig(args.error_bound, fault_plan=plan), campaign,
+        governor=governor,
     )
     gov = report.governor
     print(f"{args.snapshots} snapshots x {args.snapshot_gb:g} GB on "
@@ -743,11 +748,7 @@ def _cmd_campaign(args) -> int:
     from repro.compressors import SZCompressor
     from repro.data.registry import load_field
     from repro.hardware.cpu import get_cpu
-    from repro.workflow.campaign import (
-        CampaignPoint,
-        CheckpointCampaign,
-        run_campaign_sweep,
-    )
+    from repro.workflow.campaign import CheckpointCampaign, run_campaign_sweep
 
     _check_executor_args(args)
     cpu = get_cpu(args.arch)
@@ -760,33 +761,13 @@ def _cmd_campaign(args) -> int:
     chunk_bytes = None if args.chunk_mb is None else int(args.chunk_mb * 1e6)
     plan = _load_fault_plan(args)
     _check_governor_plan(args.governor, plan)
-    if args.governor is not None:
-        from repro.governor import GovernorSpec
-
-        tuned_point = CampaignPoint(
-            error_bound=args.error_bound,
-            governor=GovernorSpec(
-                kind=args.governor,
-                seed=args.governor_seed, window=args.governor_window,
-            ),
-        )
-        tuned_label = f"{args.governor} gov."
-    else:
-        tuned_point = CampaignPoint(
-            error_bound=args.error_bound,
-            compress_freq_ghz=cpu.snap_frequency(0.875 * cpu.fmax_ghz),
-            write_freq_ghz=cpu.snap_frequency(0.85 * cpu.fmax_ghz),
-        )
-        tuned_label = "Eqn. 3"
+    base_run, tuned_run, tuned_label = _run_legs(args, cpu, plan)
     # Base and tuned are two points of one cached sweep: each runs on a
     # fresh seed-0 node (mutually comparable), and with --cache-dir a
     # re-run recomputes nothing.
     base, tuned = run_campaign_sweep(
-        cpu, SZCompressor(), arr,
-        (CampaignPoint(error_bound=args.error_bound), tuned_point),
-        campaign,
+        cpu, SZCompressor(), arr, (base_run, tuned_run), campaign,
         chunk_bytes=chunk_bytes, executor=args.executor, workers=args.workers,
-        fault_plan=plan, power_budget_w=args.power_budget_w,
     )
     print(f"{args.snapshots} snapshots x {args.snapshot_gb:g} GB on {args.arch} "
           f"(eb {args.error_bound:g}):")
@@ -943,8 +924,10 @@ def _cmd_serve(args) -> int:
 
 def _cmd_cluster(args) -> int:
     from repro.compressors import SZCompressor
+    from repro.core.tuning import PAPER_POLICY
     from repro.data.registry import load_field
     from repro.hardware.cpu import get_cpu
+    from repro.hardware.workload import WorkloadKind
     from repro.iosim.cluster import Cluster
 
     cpu = get_cpu(args.arch)
@@ -954,8 +937,8 @@ def _cmd_cluster(args) -> int:
     base = cluster.dump_all(SZCompressor(), arr, args.error_bound, per_node)
     tuned = cluster.dump_all(
         SZCompressor(), arr, args.error_bound, per_node,
-        compress_freq_ghz=cpu.snap_frequency(0.875 * cpu.fmax_ghz),
-        write_freq_ghz=cpu.snap_frequency(0.85 * cpu.fmax_ghz),
+        compress_freq_ghz=PAPER_POLICY.frequency_for(cpu, WorkloadKind.COMPRESS_SZ),
+        write_freq_ghz=PAPER_POLICY.frequency_for(cpu, WorkloadKind.WRITE),
     )
     print(f"{args.nodes} x {args.per_node_gb:g} GB dump on {args.arch} "
           f"(eb {args.error_bound:g}):")

@@ -15,7 +15,7 @@ methodology on a pair of simulated nodes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,8 +35,7 @@ from repro.core.scaling import add_scaled_columns
 from repro.core.tuning import TuningPolicy, TuningRecommendation, recommend_from_models
 from repro.data.registry import load_field
 from repro.hardware.node import SimulatedNode
-from repro.hardware.workload import WorkloadKind
-from repro.iosim.dumper import DataDumper, DumpReport, measure_ratio
+from repro.iosim.dumper import DataDumper, RunConfig, measure_ratio
 from repro.iosim.nfs import NfsTarget
 from repro.observability import get_tracer
 
@@ -220,23 +219,29 @@ class TunedIOPipeline:
         both the baseline and the tuned dump, so the savings comparison
         stays like-for-like under injected faults.
 
-        *governor* (a :class:`repro.governor.Governor`,
-        :class:`repro.governor.GovernorSpec` or policy name) replaces
-        the fitted recommendations for the tuned dump: the governor
-        picks each stage's clock online, so ``recommend()`` is not
-        required beforehand. The baseline dump stays ungoverned — the
-        comparison remains "base clock vs. controlled".
+        *governor* (a :class:`repro.governor.GovernorSpec` or policy
+        name) replaces the fitted recommendations for the tuned dump:
+        the governor picks each stage's clock online, so ``recommend()``
+        is not required beforehand. The baseline dump stays ungoverned —
+        the comparison remains "base clock vs. controlled".
         """
         node = self._nodes_by_arch.get(arch)
         if node is None:
             raise KeyError(f"no node with architecture {arch!r}")
-        governor = _resolve_governor(governor, node)
-        if governor is None:
+        baseline_run = RunConfig(error_bound, fault_plan=fault_plan)
+        if governor is not None:
+            tuned_run = replace(baseline_run, governor=governor)
+        else:
             recs = {r.stage: r for r in outcome.recommendations if r.cpu == arch}
             if set(recs) != {"compress", "write"}:
                 raise ValueError(
                     f"recommendations for {arch!r} missing; call recommend() first"
                 )
+            tuned_run = replace(
+                baseline_run,
+                compress_freq_ghz=recs["compress"].freq_ghz,
+                write_freq_ghz=recs["write"].freq_ghz,
+            )
         codec = get_compressor(compressor) if isinstance(compressor, str) else compressor
         sample = load_field(dataset, field_name, scale=data_scale, seed=seed)
         dumper = DataDumper(
@@ -255,34 +260,12 @@ class TunedIOPipeline:
             )
             with tracer.span("pipeline.apply.baseline"):
                 baseline = dumper.dump(
-                    codec, sample, error_bound, target_bytes,
-                    fault_plan=fault_plan, measurement=measurement,
+                    codec, sample, baseline_run, target_bytes,
+                    measurement=measurement,
                 )
             with tracer.span("pipeline.apply.tuned"):
-                if governor is not None:
-                    tuned = dumper.dump(
-                        codec, sample, error_bound, target_bytes,
-                        fault_plan=fault_plan, governor=governor,
-                        measurement=measurement,
-                    )
-                else:
-                    tuned = dumper.dump(
-                        codec,
-                        sample,
-                        error_bound,
-                        target_bytes,
-                        compress_freq_ghz=recs["compress"].freq_ghz,
-                        write_freq_ghz=recs["write"].freq_ghz,
-                        fault_plan=fault_plan,
-                        measurement=measurement,
-                    )
+                tuned = dumper.dump(
+                    codec, sample, tuned_run, target_bytes,
+                    measurement=measurement,
+                )
         return compare_reports(baseline, tuned)
-
-
-def _resolve_governor(governor, node: SimulatedNode):
-    """Accept a live Governor, a GovernorSpec, or a policy name."""
-    if governor is None:
-        return None
-    from repro.governor import resolve_governor
-
-    return resolve_governor(governor, node.cpu, power_curve=node.power_curve)

@@ -722,7 +722,7 @@ class DistributedExecutor(Executor):
         epochs, and each epoch's personalized cap goes out as a
         ``powercap`` wire frame. The frames are observational — shard
         results stay a pure function of the shard inputs (a campaign's
-        watt budget travels inside its :class:`CampaignPoint`), which
+        watt budget travels inside its :class:`RunConfig`), which
         is what keeps distributed maps byte-identical to serial runs.
         A dead worker's watts redistribute on its leave epoch.
         """

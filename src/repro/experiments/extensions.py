@@ -14,13 +14,14 @@ import numpy as np
 from repro.compressors import SZCompressor
 from repro.core.breakeven import breakeven_clients
 from repro.core.multicore import optimal_configuration
+from repro.core.tuning import PAPER_POLICY
 from repro.data.registry import load_field
 from repro.experiments.context import ExperimentContext
 from repro.hardware.cpu import BROADWELL_D1548, SKYLAKE_4114
 from repro.hardware.node import SimulatedNode
 from repro.hardware.workload import WorkloadKind, compression_workload
 from repro.iosim.cluster import Cluster
-from repro.iosim.dumper import DataDumper, measure_ratio
+from repro.iosim.dumper import DataDumper, RunConfig, measure_ratio
 from repro.iosim.loader import DataLoader
 from repro.iosim.nfs import NfsTarget
 from repro.workflow.report import render_table
@@ -43,15 +44,16 @@ def run_restore(ctx: Optional[ExperimentContext] = None) -> List[Dict[str, objec
     for arch in ("broadwell", "skylake"):
         node = ctx.node(arch)
         cpu = node.cpu
-        f_codec = cpu.snap_frequency(0.875 * cpu.fmax_ghz)
-        f_io = cpu.snap_frequency(0.85 * cpu.fmax_ghz)
+        f_codec = PAPER_POLICY.frequency_for(cpu, WorkloadKind.COMPRESS_SZ)
+        f_io = PAPER_POLICY.frequency_for(cpu, WorkloadKind.WRITE)
         dumper, loader = DataDumper(node), DataLoader(node)
         for eb in (1e-1, 1e-3):
             measurement = measure_ratio(SZCompressor(), arr, eb)
             dump_base = dumper.dump(SZCompressor(), arr, eb, int(512e9),
                                     measurement=measurement)
-            dump_tuned = dumper.dump(SZCompressor(), arr, eb, int(512e9),
-                                     compress_freq_ghz=f_codec, write_freq_ghz=f_io,
+            tuned_run = RunConfig(eb, compress_freq_ghz=f_codec,
+                                  write_freq_ghz=f_io)
+            dump_tuned = dumper.dump(SZCompressor(), arr, tuned_run, int(512e9),
                                      measurement=measurement)
             rest_base = loader.restore(SZCompressor(), arr, eb, int(512e9))
             rest_tuned = loader.restore(SZCompressor(), arr, eb, int(512e9),
@@ -84,8 +86,8 @@ def run_cluster(ctx: Optional[ExperimentContext] = None) -> List[Dict[str, objec
         base = cluster.dump_all(SZCompressor(), arr, 1e-2, int(64e9))
         tuned = cluster.dump_all(
             SZCompressor(), arr, 1e-2, int(64e9),
-            compress_freq_ghz=cpu.snap_frequency(0.875 * cpu.fmax_ghz),
-            write_freq_ghz=cpu.snap_frequency(0.85 * cpu.fmax_ghz),
+            compress_freq_ghz=PAPER_POLICY.frequency_for(cpu, WorkloadKind.COMPRESS_SZ),
+            write_freq_ghz=PAPER_POLICY.frequency_for(cpu, WorkloadKind.WRITE),
         )
         rows.append(
             {
@@ -122,7 +124,7 @@ def run_multicore(ctx: Optional[ExperimentContext] = None) -> List[Dict[str, obj
     rows = []
     for cpu in (BROADWELL_D1548, SKYLAKE_4114):
         node = SimulatedNode(cpu, power_noise=0.0, runtime_noise=0.0)
-        f_eqn3 = cpu.snap_frequency(0.875 * cpu.fmax_ghz)
+        f_eqn3 = PAPER_POLICY.frequency_for(cpu, WorkloadKind.COMPRESS_SZ)
         e_eqn3 = node.true_runtime_s(wl, f_eqn3) * node.true_power_w(wl, f_eqn3)
         best = optimal_configuration(node, wl)
         rows.append(

@@ -18,9 +18,9 @@ This package closes the loop at runtime:
   used by tests and ``benchmarks/governor_regret.py``.
 
 :class:`GovernorSpec` is the picklable knob the workflow layer sweeps:
-it names a policy + seed + window, travels through campaign points and
-cache fingerprints, and is materialized into a live governor next to
-the node that will run it.
+it names a policy + seed + window, travels inside a
+:class:`~repro.iosim.dumper.RunConfig` and its cache fingerprint, and is
+materialized into a live governor next to the node that will run it.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ __all__ = [
     "DEFAULT_HYSTERESIS",
     "GovernorSpec",
     "make_governor",
-    "resolve_governor",
     "GovernedIOResult",
     "simulate_governed_io",
 ]
@@ -138,25 +137,3 @@ def make_governor(
         f"unknown governor policy {kind!r}; known: {', '.join(GOVERNOR_KINDS)}"
     )
 
-
-def resolve_governor(
-    governor, cpu: CpuSpec, power_curve=None
-) -> Optional[Governor]:
-    """Normalize the ``governor=`` knob every layer accepts.
-
-    ``None`` passes through; a live :class:`Governor` is used as-is; a
-    policy name or :class:`GovernorSpec` is materialized for *cpu*
-    (with *power_curve* as the oracle's ground truth).
-    """
-    if governor is None:
-        return None
-    if isinstance(governor, Governor):
-        return governor
-    if isinstance(governor, str):
-        governor = GovernorSpec(kind=governor)
-    if isinstance(governor, GovernorSpec):
-        return governor.make(cpu, power_curve=power_curve)
-    raise ValueError(
-        "governor must be a Governor, GovernorSpec or policy name, "
-        f"got {type(governor).__name__}"
-    )

@@ -167,10 +167,23 @@ class TelemetryBus:
         return tuple(s for s in snapshot if s.phase == tag)
 
     def window(self, phase, n: int) -> Tuple[TelemetrySample, ...]:
-        """The last *n* samples of *phase* (the controller's live view)."""
+        """The last *n* samples of *phase* (the controller's live view),
+        in seq order.
+
+        Scans back from the newest sample and stops at the *n*-th
+        match, so a refit never copies the whole ring.
+        """
         if n < 1:
             raise ValueError(f"window must be >= 1, got {n}")
-        return self.samples(phase)[-n:]
+        tag = None if phase is None else _phase_value(phase)
+        newest_first = []
+        with self._lock:
+            for sample in reversed(self._buffer):
+                if tag is None or sample.phase == tag:
+                    newest_first.append(sample)
+                    if len(newest_first) == n:
+                        break
+        return tuple(reversed(newest_first))
 
     def __len__(self) -> int:
         with self._lock:

@@ -13,6 +13,7 @@ from repro.iosim.dumper import (
     DataDumper,
     DumpReport,
     RatioMeasurement,
+    RunConfig,
     measure_ratio,
 )
 from repro.iosim.loader import DataLoader, RestoreReport
@@ -24,6 +25,7 @@ __all__ = [
     "NfsTarget",
     "TransitExperiment",
     "transit_workload",
+    "RunConfig",
     "DataDumper",
     "DumpReport",
     "StageReport",

@@ -7,6 +7,11 @@ codec runs on a working-scale field to obtain the true compression
 ratio; costs then extrapolate linearly in bytes to the target size
 (exactly how the paper reaches 512 GB by concatenating NYX snapshots).
 
+A :class:`RunConfig` says what one dump runs: the error bound, the
+stage clocks or a governor, a watt budget and a fault plan.
+:meth:`DataDumper.dump` is the one reader of its clocks, budget and
+plan; campaigns and sweeps pass it through whole.
+
 The ratio depends only on the codec, the sample, the bound and the
 chunking, not on clocks, governors, budgets or snapshot indices, so
 :func:`measure_ratio` sets up one :class:`RatioMeasurement` that
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -40,17 +45,89 @@ from repro.parallel import Executor, ParallelStats
 from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.governor import Governor, GovernorSpec
     from repro.resilience.engine import ResilienceEngine
     from repro.resilience.faults import FaultPlan
-    from repro.resilience.policies import RecoveryPolicy
     from repro.resilience.report import SnapshotResilience
 
 __all__ = [
+    "RunConfig",
     "DumpReport",
     "DataDumper",
     "RatioMeasurement",
     "measure_ratio",
 ]
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """What one dump runs: an error bound and the settings it runs under.
+
+    Frozen and picklable, so it travels to pool and fleet workers and is
+    fingerprinted whole for the result cache: two runs that differ in
+    any setting never share an entry. A bare float anywhere a run is
+    taken means ``RunConfig(error_bound=float)``.
+    """
+
+    error_bound: float
+    #: Per-stage pinned clocks (Eqn. 3); ``None`` runs the stage at
+    #: fmax, or at the governor's pick.
+    compress_freq_ghz: Optional[float] = None
+    write_freq_ghz: Optional[float] = None
+    #: The governor that picks the clocks, built next to the node that
+    #: runs it. A policy name becomes ``GovernorSpec(kind=name)``.
+    governor: Optional["GovernorSpec"] = None
+    #: Node package watt budget; each phase is capped by inverting the
+    #: node's P(f) curve, which binds pinned and governed stages alike.
+    power_budget_w: Optional[float] = None
+    #: Faults to inject, recovered per the plan's own policy.
+    fault_plan: Optional["FaultPlan"] = None
+
+    def __post_init__(self):
+        check_positive(self.error_bound, "error_bound")
+        if self.governor is not None:
+            from repro.governor import GovernorSpec
+
+            spec = self.governor
+            if isinstance(spec, str):
+                spec = GovernorSpec(kind=spec)
+            if not isinstance(spec, GovernorSpec):
+                raise ValueError(
+                    "RunConfig.governor must be a GovernorSpec or policy "
+                    f"name, got {type(self.governor).__name__}; pass a live "
+                    "governor as the governor= argument of DataDumper.dump "
+                    "or run_campaign"
+                )
+            object.__setattr__(self, "governor", spec)
+            self.check_unpinned()
+        if self.power_budget_w is not None:
+            from repro.powercap.allocation import check_budget_w
+
+            object.__setattr__(self, "power_budget_w", check_budget_w(
+                self.power_budget_w, "power_budget_w"
+            ))
+        if self.fault_plan is not None:
+            from repro.resilience.faults import FaultPlan
+
+            if not isinstance(self.fault_plan, FaultPlan):
+                raise ValueError(
+                    "RunConfig.fault_plan must be a FaultPlan, "
+                    f"got {type(self.fault_plan).__name__}"
+                )
+
+    @classmethod
+    def of(cls, run: "RunConfig | float") -> "RunConfig":
+        """*run* itself, or a bare error bound as a config."""
+        return run if isinstance(run, cls) else cls(error_bound=float(run))
+
+    def check_unpinned(self) -> None:
+        """Raise unless both stages are free for a governor to steer: a
+        pinned stage would ignore it and half-apply the policy."""
+        if self.compress_freq_ghz is not None or self.write_freq_ghz is not None:
+            raise ValueError(
+                "a RunConfig cannot pin stage frequencies and carry a "
+                "governor at the same time"
+            )
 
 
 @dataclass(frozen=True)
@@ -204,15 +281,10 @@ class DataDumper:
         self,
         compressor: Compressor,
         sample_field: np.ndarray,
-        error_bound: float,
+        run: "RunConfig | float",
         target_bytes: int,
-        compress_freq_ghz: float | None = None,
-        write_freq_ghz: float | None = None,
-        fault_plan: Optional["FaultPlan"] = None,
-        policy: Optional["RecoveryPolicy"] = None,
         snapshot_index: int = 0,
-        governor=None,
-        phase_caps: Optional[Mapping[str, float]] = None,
+        governor: Optional["Governor"] = None,
         measurement: Optional[RatioMeasurement] = None,
     ) -> DumpReport:
         """Compress *target_bytes* worth of data (character taken from
@@ -222,80 +294,91 @@ class DataDumper:
         ----------
         compressor:
             A real codec; it runs on *sample_field* to obtain the true
-            compression ratio at *error_bound*, unless *measurement*
-            already holds it.
+            compression ratio at the run's error bound, unless
+            *measurement* already holds it.
         sample_field:
             Working-scale field representative of the full dataset.
+        run:
+            The :class:`RunConfig` (or a bare error bound). Its pinned
+            clocks set the stages, unpinned ones run at fmax; its
+            governor spec is built for this node, unless *governor* is
+            given; its watt budget caps each phase through
+            :func:`repro.powercap.phase_caps_for_budget` (an infeasible
+            phase pins fmin, and a governor records
+            ``capped_below_fmin``); its fault plan injects deterministic
+            faults, recovered per the plan's policy. An empty plan takes
+            the exact clean code path, so its report is bit-identical to
+            no plan.
+        target_bytes:
+            Full-experiment size (e.g. 512 GB) the costs extrapolate to.
+        snapshot_index:
+            Logical snapshot coordinate for fault triggering (campaigns
+            pass their loop index so each snapshot draws its own faults).
+        governor:
+            A live :class:`repro.governor.Governor` to steer both stages
+            instead of one built from the run's spec, so its state
+            (decisions, telemetry) outlives the dump. It is consulted at
+            each phase boundary and fed the stage's measurement
+            afterwards; resilience DVFS-throttle caps and budget caps
+            bind it like everything else. Pinned clocks reject it.
         measurement:
-            This codec's :func:`measure_ratio` of *sample_field* at
-            *error_bound*, with this dumper's chunking, to reuse instead
+            This codec's :func:`measure_ratio` of *sample_field* at the
+            run's bound, with this dumper's chunking, to reuse instead
             of compressing again. A snapshot whose fault plan crashes
             slabs measures on its own without reading it, so the crashed
             slabs are re-run and charged; bit flips are checked against
             the shared buffer, which stays unmodified.
-        target_bytes:
-            Full-experiment size (e.g. 512 GB) the costs extrapolate to.
-        compress_freq_ghz / write_freq_ghz:
-            Per-stage pinned frequencies; ``None`` means base clock.
-        governor:
-            Optional :class:`repro.governor.Governor` consulted at each
-            phase boundary for any stage whose explicit frequency is
-            ``None``, and fed the stage's measurement afterwards.
-            Explicit per-stage frequencies win over the governor;
-            resilience DVFS-throttle caps bind it like everything else.
-        fault_plan / policy:
-            Optional :class:`~repro.resilience.FaultPlan` to inject
-            deterministic faults, recovered per *policy* (plan's policy
-            doc, else defaults). An empty plan takes the exact clean
-            code path, so its report is bit-identical to no plan.
-        snapshot_index:
-            Logical snapshot coordinate for fault triggering (campaigns
-            pass their loop index so each snapshot draws its own faults).
-        phase_caps:
-            Optional ``{"compress": ghz, "write": ghz}`` frequency
-            ceilings from a watt budget (see
-            :func:`repro.powercap.phase_caps_for_budget`). A value of
-            ``0.0`` marks an infeasible budget: the stage pins fmin and
-            a governor records ``capped_below_fmin``. ``None`` takes
-            the exact uncapped code path.
         """
+        run = RunConfig.of(run)
         check_positive(target_bytes, "target_bytes")
         kind = stage_kind("compress", compressor.name)
         if measurement is not None and (
             measurement.codec, measurement.error_bound
-        ) != (compressor.name, float(error_bound)):
+        ) != (compressor.name, float(run.error_bound)):
             raise ValueError(
                 f"measurement of {measurement.codec} at "
                 f"{measurement.error_bound:g} cannot serve a "
-                f"{compressor.name} dump at {float(error_bound):g}"
+                f"{compressor.name} dump at {float(run.error_bound):g}"
+            )
+        node = self.node
+        if governor is not None:
+            run.check_unpinned()
+        elif run.governor is not None:
+            governor = run.governor.make(node.cpu, power_curve=node.power_curve)
+
+        phase_caps = None
+        if run.power_budget_w is not None:
+            from repro.powercap import phase_caps_for_budget
+
+            phase_caps = phase_caps_for_budget(
+                node.cpu, node.power_curve, run.power_budget_w,
+                codec=compressor.name,
             )
 
         engine: Optional["ResilienceEngine"] = None
-        if fault_plan is not None and not fault_plan.is_empty:
+        if run.fault_plan is not None and not run.fault_plan.is_empty:
             from repro.resilience.engine import ResilienceEngine
 
-            engine = ResilienceEngine(fault_plan, policy)
+            engine = ResilienceEngine(run.fault_plan)
 
         tracer = get_tracer()
         with tracer.span(
             "dump",
             codec=compressor.name,
-            error_bound=float(error_bound),
+            error_bound=float(run.error_bound),
             target_bytes=int(target_bytes),
         ):
             return self._dump_traced(
-                compressor, kind, sample_field, error_bound, target_bytes,
-                compress_freq_ghz, write_freq_ghz, tracer,
+                compressor, kind, sample_field, run, target_bytes, tracer,
                 engine, int(snapshot_index), governor, phase_caps,
                 measurement,
             )
 
     def _dump_traced(
-        self, compressor, kind, sample_field, error_bound, target_bytes,
-        compress_freq_ghz, write_freq_ghz, tracer,
-        engine=None, snapshot_index=0, governor=None, phase_caps=None,
-        measurement=None,
+        self, compressor, kind, sample_field, run, target_bytes, tracer,
+        engine, snapshot_index, governor, phase_caps, measurement,
     ) -> DumpReport:
+        error_bound = run.error_bound
         with tracer.span("dump.ratio", bytes_in=sample_field.nbytes) as sp:
             if measurement is None or _slab_faults_planned(
                 engine, snapshot_index, measurement
@@ -339,10 +422,10 @@ class DataDumper:
             )
         # Both clocks are decided before either stage runs.
         f_c = resolve_stage_frequency(
-            cpu, "compress", compress_freq_ghz, governor, cap_freq
+            cpu, "compress", run.compress_freq_ghz, governor, cap_freq
         )
         f_w = resolve_stage_frequency(
-            cpu, "write", write_freq_ghz, governor, budget_cap_w
+            cpu, "write", run.write_freq_ghz, governor, budget_cap_w
         )
 
         wl_c = compression_workload(

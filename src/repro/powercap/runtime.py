@@ -4,7 +4,7 @@ The coordinator broadcasts ``{"type": "powercap", ...}`` wire frames
 whenever the :class:`~repro.powercap.controller.ClusterCapController`
 runs an epoch; each worker stores its personalized cap here. The state
 is **observational only**: task results are a pure function of the
-:class:`~repro.workflow.campaign.CampaignPoint` (where a watt budget
+:class:`~repro.iosim.dumper.RunConfig` (where a watt budget
 travels as ``power_budget_w``), so runtime caps never alter what a
 shard computes — that is what keeps a distributed capped campaign
 byte-identical to the serial run. Operators read the cap back through

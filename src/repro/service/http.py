@@ -30,7 +30,13 @@ backpressure point.
 Graceful drain (:meth:`TuningServer.drain`): readiness flips to 503,
 new scheduled work and jobs are refused, the scheduler runs its queue
 dry, the job manager joins every accepted job, then the listener stops.
-Nothing accepted before the drain began is lost.
+Nothing accepted before the drain began is lost. A server that never
+served drains without waiting for a loop, and a serve loop started
+after the drain began returns at once.
+
+Every POST route rejects unknown top-level fields with a 400, as
+:mod:`repro.service.handlers` explains: a mistyped optional field would
+otherwise misconfigure the session silently.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.cache import fingerprint, get_cache
+from repro.hardware.cpu import get_cpu
 from repro.observability.exporters import prometheus_text
 from repro.observability.metrics import get_registry as get_metrics_registry
 from repro.service.errors import (
@@ -50,7 +57,7 @@ from repro.service.errors import (
     ServiceClosedError,
     ServiceError,
 )
-from repro.service.handlers import RequestHandlers
+from repro.service.handlers import RequestHandlers, _check_fields
 from repro.service.jobs import JobManager
 from repro.service.registry import ModelRegistry
 from repro.service.scheduler import Scheduler
@@ -213,6 +220,10 @@ class TuningServer:
         self._httpd.daemon_threads = True
         self._httpd.service = self  # type: ignore[attr-defined]
         self._serve_thread: Optional[threading.Thread] = None
+        # Guards the hand-off between serve_forever and drain, so a
+        # drain never waits on a serve loop that will not run.
+        self._serve_lock = threading.Lock()
+        self._serving = False
         self._draining = threading.Event()
         self._drained = threading.Event()
         # Governor sessions (/v1/govern): keyed controllers that learn
@@ -234,12 +245,21 @@ class TuningServer:
         ``decide`` is pure in its payload. ``tune`` additionally folds
         in the resolved registry entry's bundle fingerprint, so
         registering a new model version under the same name invalidates
-        the cached answers for it automatically. Requests whose model
-        cannot be resolved return ``None`` and fall through to the
-        handler, which raises the proper typed error.
+        the cached answers for it automatically. An ``arch`` alias
+        (``m510``, ``Broadwell``) keys as its canonical name, which both
+        replies carry. Requests whose model or architecture cannot be
+        resolved return ``None`` and fall through to the handler, which
+        raises the proper typed error.
         """
         if not isinstance(payload, dict):
             return None
+        if "arch" in payload:
+            try:
+                arch = get_cpu(str(payload["arch"])).arch
+            except KeyError:
+                return None
+            if arch != payload["arch"]:
+                payload = dict(payload, arch=arch)
         if kind == "decide":
             return fingerprint(kind="service.decide", payload=payload)
         if kind == "tune":
@@ -270,10 +290,10 @@ class TuningServer:
         """
         from repro.governor import Phase, make_governor
 
+        _check_fields(payload, ("session", "arch", "policy", "seed",
+                                "window", "samples"))
         arch = str(payload.get("arch", "broadwell"))
         try:
-            from repro.hardware.cpu import get_cpu
-
             cpu = get_cpu(arch)
         except KeyError as exc:
             raise BadRequestError(str(exc.args[0]) if exc.args else str(exc))
@@ -342,10 +362,12 @@ class TuningServer:
         ``(session, policy, budget_w, nfs_reserve_w)`` so independent
         fleets never share a controller.
         """
-        from repro.hardware.cpu import get_cpu
         from repro.hardware.powercurves import CalibratedPowerCurve
         from repro.powercap import ALLOCATION_POLICIES, ClusterCapController
 
+        _check_fields(payload, ("session", "budget_w", "policy",
+                                "nfs_reserve_w", "nodes", "leave", "demands",
+                                "phase", "reallocate"))
         try:
             budget_w = float(payload["budget_w"])
         except KeyError:
@@ -464,8 +486,12 @@ class TuningServer:
     # -- lifecycle -----------------------------------------------------
 
     def serve_forever(self) -> None:
-        """Block serving requests until :meth:`drain`/``shutdown``."""
-        self._httpd.serve_forever(poll_interval=0.05)
+        """Block serving requests until :meth:`drain`/``shutdown``;
+        return at once when a drain has already begun."""
+        with self._serve_lock:
+            serve = self._serving = not self._draining.is_set()
+        if serve:
+            self._httpd.serve_forever(poll_interval=0.05)
         self._httpd.server_close()
 
     def start(self) -> "TuningServer":
@@ -485,13 +511,21 @@ class TuningServer:
         the job backlog emptied within *timeout* before the listener
         stopped.
         """
-        if self._draining.is_set():
+        with self._serve_lock:
+            first = not self._draining.is_set()
+            self._draining.set()
+            serving = self._serving
+        if not first:
             self._drained.wait(timeout)
             return self.scheduler.draining and self.jobs.unfinished() == 0
-        self._draining.set()
         ok = self.scheduler.close(timeout)
         ok = self.jobs.drain(timeout) and ok
-        self._httpd.shutdown()
+        if serving:
+            # shutdown() waits for the serve loop to exit, so it may
+            # only be asked of a loop that started.
+            self._httpd.shutdown()
+        else:
+            self._httpd.server_close()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout)
         self._drained.set()

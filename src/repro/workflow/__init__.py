@@ -12,7 +12,7 @@ from repro.workflow.results import sampleset_to_rows, rows_to_csv
 from repro.workflow.report import render_table, render_series
 from repro.workflow.asciiplot import ascii_chart
 from repro.workflow.campaign import (
-    CampaignPoint,
+    RunConfig,
     CampaignReport,
     CheckpointCampaign,
     run_campaign,
@@ -35,7 +35,7 @@ __all__ = [
     "ascii_chart",
     "CheckpointCampaign",
     "CampaignReport",
-    "CampaignPoint",
+    "RunConfig",
     "run_campaign",
     "run_campaign_sweep",
     "leave_one_dataset_out",

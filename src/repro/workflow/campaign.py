@@ -12,7 +12,7 @@ not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -26,6 +26,7 @@ from repro.iosim.dumper import (
     DataDumper,
     DumpReport,
     RatioMeasurement,
+    RunConfig,
     measure_ratio,
 )
 from repro.iosim.nfs import NfsTarget
@@ -34,17 +35,19 @@ from repro.parallel import Executor, resolve_executor
 from repro.utils.validation import check_nonnegative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.governor import GovernorReport, GovernorSpec
-    from repro.resilience.faults import FaultPlan
-    from repro.resilience.policies import RecoveryPolicy
+    from repro.governor import Governor, GovernorReport
 
 __all__ = [
     "CheckpointCampaign",
     "CampaignReport",
-    "CampaignPoint",
+    "RunConfig",
     "run_campaign",
     "run_campaign_sweep",
 ]
+
+#: Kept only because the benchmark harness under ``perfbench/`` imports
+#: this name; it goes when that harness is next re-pinned.
+CampaignPoint = RunConfig
 
 
 @dataclass(frozen=True)
@@ -132,22 +135,18 @@ def run_campaign(
     node: SimulatedNode,
     compressor: Compressor,
     sample_field: np.ndarray,
-    error_bound: float,
+    run: "RunConfig | float",
     campaign: CheckpointCampaign,
-    compress_freq_ghz: float | None = None,
-    write_freq_ghz: float | None = None,
     nfs: NfsTarget | None = None,
     repeats: int = 3,
     chunk_bytes: Optional[int] = None,
     executor: "Executor | str" = "auto",
     workers: Optional[int] = None,
-    fault_plan: Optional["FaultPlan"] = None,
-    policy: Optional["RecoveryPolicy"] = None,
-    governor=None,
-    power_budget_w: Optional[float] = None,
+    governor: Optional["Governor"] = None,
     measurement: Optional[RatioMeasurement] = None,
 ) -> CampaignReport:
-    """Play the campaign through the dump pipeline.
+    """Play the campaign through the dump pipeline, every snapshot a
+    dump of *run* (a :class:`RunConfig`, or a bare error bound).
 
     Compute phases run at the base clock (simulations need full speed —
     the paper's premise); only the snapshot dumps are frequency-tuned.
@@ -157,29 +156,18 @@ def run_campaign(
     *measurement* of the same codec, sample, bound and chunking to skip
     even that one. With *chunk_bytes* set, the measurement shards the
     sample field through :mod:`repro.parallel` (*executor*/*workers*
-    pick the backend), so traces show the chunk/slab stages. A
-    *fault_plan* injects its faults per snapshot index; retries,
+    pick the backend), so traces show the chunk/slab stages. The run's
+    fault plan injects its faults per snapshot index; retries,
     failovers and losses land on the report's resilience properties,
     and a snapshot whose plan crashes slabs measures again on its own.
-    A *governor* (a :class:`repro.governor.Governor`, spec or policy
-    name) steers any stage without an explicit frequency, learning
-    across snapshots; its decision summary lands on
-    :attr:`CampaignReport.governor`. A *power_budget_w* caps the node's
-    package watts: each phase's cap_ghz comes from inverting the node's
-    P(f) curve (:func:`repro.powercap.phase_caps_for_budget`) and binds
-    pinned and governed stages alike; ``None`` is bit-identical to an
-    uncapped run.
+    The run's governor spec is built once for the campaign, so it
+    learns across snapshots; a live *governor* steers instead, for a
+    caller that reads its state afterwards. The decision summary lands
+    on :attr:`CampaignReport.governor`.
     """
-    from repro.governor import resolve_governor
-
-    governor = resolve_governor(governor, node.cpu, power_curve=node.power_curve)
-    phase_caps = None
-    if power_budget_w is not None:
-        from repro.powercap import phase_caps_for_budget
-
-        phase_caps = phase_caps_for_budget(
-            node.cpu, node.power_curve, power_budget_w, codec=compressor.name
-        )
+    run = RunConfig.of(run)
+    if governor is None and run.governor is not None:
+        governor = run.governor.make(node.cpu, power_curve=node.power_curve)
     dumper = DataDumper(
         node, nfs, repeats=repeats,
         chunk_bytes=chunk_bytes, executor=executor, workers=workers,
@@ -193,7 +181,7 @@ def run_campaign(
     ):
         if measurement is None:
             measurement = measure_ratio(
-                compressor, sample_field, error_bound, chunk_bytes,
+                compressor, sample_field, run.error_bound, chunk_bytes,
                 executor, workers,
             )
         snapshots = []
@@ -202,15 +190,10 @@ def run_campaign(
                 report = dumper.dump(
                     compressor,
                     sample_field,
-                    error_bound,
+                    run,
                     campaign.snapshot_bytes,
-                    compress_freq_ghz=compress_freq_ghz,
-                    write_freq_ghz=write_freq_ghz,
-                    fault_plan=fault_plan,
-                    policy=policy,
                     snapshot_index=index,
                     governor=governor,
-                    phase_caps=phase_caps,
                     measurement=measurement,
                 )
                 sp.set(
@@ -237,35 +220,6 @@ def run_campaign(
     )
 
 
-@dataclass(frozen=True)
-class CampaignPoint:
-    """One point of a campaign sweep: a bound and optional tuned clocks."""
-
-    error_bound: float
-    compress_freq_ghz: Optional[float] = None
-    write_freq_ghz: Optional[float] = None
-    #: Per-point governor spec; mutually exclusive with pinned clocks
-    #: (a pinned stage ignores the governor by construction, so mixing
-    #: them would silently half-apply the policy).
-    governor: Optional["GovernorSpec"] = None
-    #: Node package watt budget; phase caps derived from the node's
-    #: P(f) curve bind every stage. Rides in the point so capped and
-    #: uncapped runs can never alias in the result cache.
-    power_budget_w: Optional[float] = None
-
-    def __post_init__(self):
-        check_positive(self.error_bound, "error_bound")
-        if self.governor is not None and (
-            self.compress_freq_ghz is not None or self.write_freq_ghz is not None
-        ):
-            raise ValueError(
-                "a CampaignPoint cannot pin stage frequencies and carry a "
-                "governor at the same time"
-            )
-        if self.power_budget_w is not None:
-            check_positive(self.power_budget_w, "power_budget_w")
-
-
 def _run_bound(
     cpu: CpuSpec,
     compressor: Compressor,
@@ -274,9 +228,8 @@ def _run_bound(
     nfs: Optional[NfsTarget],
     repeats: int,
     seed: int,
-    fault_plan: Optional["FaultPlan"],
     chunk_bytes: Optional[int],
-    points: Tuple[CampaignPoint, ...],
+    points: Tuple[RunConfig, ...],
 ) -> Tuple[CampaignReport, ...]:
     """Play *points*, which share one error bound, on one measurement.
 
@@ -289,19 +242,8 @@ def _run_bound(
     )
     return tuple(
         run_campaign(
-            SimulatedNode(cpu, seed=seed),
-            compressor,
-            sample_field,
-            point.error_bound,
-            campaign,
-            compress_freq_ghz=point.compress_freq_ghz,
-            write_freq_ghz=point.write_freq_ghz,
-            nfs=nfs,
-            repeats=repeats,
-            chunk_bytes=chunk_bytes,
-            fault_plan=fault_plan,
-            governor=point.governor,
-            power_budget_w=point.power_budget_w,
+            SimulatedNode(cpu, seed=seed), compressor, sample_field, point,
+            campaign, nfs=nfs, repeats=repeats, chunk_bytes=chunk_bytes,
             measurement=measurement,
         )
         for point in points
@@ -312,89 +254,44 @@ def run_campaign_sweep(
     cpu: CpuSpec,
     compressor: "Compressor | str",
     sample_field: np.ndarray,
-    points: Sequence["CampaignPoint | float"],
+    points: Sequence["RunConfig | float"],
     campaign: CheckpointCampaign,
     nfs: Optional[NfsTarget] = None,
     repeats: int = 3,
     seed: int = 0,
     executor: "Executor | str" = "auto",
     workers: Optional[int] = None,
-    fault_plan: Optional["FaultPlan"] = None,
     chunk_bytes: Optional[int] = None,
-    governor: "GovernorSpec | str | None" = None,
-    power_budget_w: Optional[float] = None,
 ) -> Tuple[CampaignReport, ...]:
     """Play the campaign at every sweep point, one task per error bound.
 
-    Each point (a :class:`CampaignPoint`, or a bare error bound) runs on
-    its own node seeded with *seed*, so a sweep's reports are mutually
-    comparable and byte-identical across executor backends (a
-    *fault_plan*'s triggers are keyed on logical coordinates, so faulted
-    sweeps stay backend-identical too). Points that miss the cache fan
-    out through :mod:`repro.parallel` as one task per distinct error
-    bound: the task compresses the sample once and plays each of its
-    points on that measurement, since clocks, governors and budgets do
-    not change the ratio. *compressor* (an instance, with its
+    Each point (a :class:`RunConfig`, or a bare error bound) runs on its
+    own node seeded with *seed*, so a sweep's reports are mutually
+    comparable and byte-identical across executor backends (fault
+    triggers are keyed on logical coordinates, so faulted sweeps stay
+    backend-identical too). A point's clocks, governor, watt budget and
+    fault plan all travel inside it, so they join its cache key whole:
+    points that differ in any of them never alias. Points that miss the
+    cache fan out through :mod:`repro.parallel` as one task per distinct
+    error bound: the task compresses the sample once and plays each of
+    its points on that measurement, since clocks, governors, budgets and
+    faults do not change the ratio. *compressor* (an instance, with its
     configuration, or a registered name) runs in the tasks as given.
     *chunk_bytes* shards the ratio measurement (and joins the cache
     key, since it shapes the reports' parallel-stage annotations).
-
-    *governor* (a :class:`repro.governor.GovernorSpec` or policy name)
-    is the sweep-wide default: it fills every point that neither pins a
-    stage frequency nor carries its own spec, *before* cache keys are
-    computed — governed and ungoverned sweeps can never alias.
-
-    *power_budget_w* is likewise the sweep-wide watt budget: it fills
-    every point that doesn't carry its own, before cache keys are
-    computed, so capped and uncapped sweeps never alias either. Because
-    the budget travels inside the pure, picklable point, capped sweeps
-    stay byte-identical across executor backends — including the
-    distributed one — for free.
     """
     if not points:
         raise ValueError("points must be non-empty")
-    resolved = tuple(
-        p if isinstance(p, CampaignPoint) else CampaignPoint(error_bound=float(p))
-        for p in points
-    )
-    if governor is not None:
-        from repro.governor import GovernorSpec
-
-        spec = (
-            GovernorSpec(kind=governor) if isinstance(governor, str) else governor
-        )
-        if not isinstance(spec, GovernorSpec):
-            raise ValueError(
-                "sweep governor must be a GovernorSpec or policy name, "
-                f"got {type(governor).__name__}"
-            )
-        resolved = tuple(
-            replace(p, governor=spec)
-            if (
-                p.governor is None
-                and p.compress_freq_ghz is None
-                and p.write_freq_ghz is None
-            )
-            else p
-            for p in resolved
-        )
-    if power_budget_w is not None:
-        from repro.powercap import check_budget_w
-
-        budget = check_budget_w(power_budget_w, "power_budget_w")
-        resolved = tuple(
-            replace(p, power_budget_w=budget) if p.power_budget_w is None else p
-            for p in resolved
-        )
+    resolved = tuple(RunConfig.of(p) for p in points)
     codec = get_compressor(compressor) if isinstance(compressor, str) else compressor
     chunk = None if chunk_bytes is None else int(chunk_bytes)
 
     # Incremental recomputation: every point is pure in (cpu, codec and
-    # its configuration, field, campaign, nfs, repeats, seed, fault
-    # plan, chunking, point) — each fresh-node run is content-
-    # addressable. Lookups and stores happen here in the parent, so
-    # cache state never depends on the executor backend; only the dirty
-    # points fan out through the pool.
+    # its configuration, field, campaign, nfs, repeats, seed, chunking,
+    # point) — each fresh-node run is content-addressable. Lookups and
+    # stores happen here in the parent, so cache state never depends on
+    # the executor backend; only the dirty points fan out through the
+    # pool.
     cache = get_cache()
     reports: list = [None] * len(resolved)
     keys: list = []
@@ -412,7 +309,6 @@ def run_campaign_sweep(
                 nfs=nfs,
                 repeats=int(repeats),
                 seed=int(seed),
-                fault_plan=fault_plan,
                 chunk=chunk,
                 point=point,
             )
@@ -428,7 +324,7 @@ def run_campaign_sweep(
         groups.setdefault(resolved[i].error_bound, []).append(i)
     fn = partial(
         _run_bound, cpu, codec, sample_field, campaign, nfs, int(repeats),
-        int(seed), fault_plan, chunk,
+        int(seed), chunk,
     )
     pool = owned = None
     if groups:

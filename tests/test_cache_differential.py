@@ -38,8 +38,8 @@ from repro.data import load_field
 from repro.hardware.cpu import SKYLAKE_4114
 from repro.observability.metrics import get_registry as get_metrics_registry
 from repro.workflow.campaign import (
-    CampaignPoint,
     CheckpointCampaign,
+    RunConfig,
     run_campaign_sweep,
 )
 from repro.workflow.sweep import SweepConfig, default_nodes
@@ -51,10 +51,10 @@ CAMPAIGN = CheckpointCampaign(
     snapshot_bytes=int(8e9), n_snapshots=2, compute_interval_s=600.0
 )
 POINTS = (
-    CampaignPoint(error_bound=1e-1),
-    CampaignPoint(error_bound=1e-2),
-    CampaignPoint(error_bound=1e-2, compress_freq_ghz=1.925,
-                  write_freq_ghz=1.85),
+    RunConfig(error_bound=1e-1),
+    RunConfig(error_bound=1e-2),
+    RunConfig(error_bound=1e-2, compress_freq_ghz=1.925,
+              write_freq_ghz=1.85),
 )
 
 #: Deliberately tiny sweep; the harness compares, it does not fit-check.
@@ -233,7 +233,7 @@ class TestPoisonedEntries:
             run_campaign_sweep(
                 SKYLAKE_4114, "sz",
                 load_field("nyx", "velocity_x", scale=64),
-                (CampaignPoint(error_bound=1e-1),), CAMPAIGN,
+                (RunConfig(error_bound=1e-1),), CAMPAIGN,
                 **sweep_kwargs(),
             )
             key = self._single_key(cache)
@@ -252,7 +252,7 @@ class TestPoisonedEntries:
     def _warm_run(self):
         return run_campaign_sweep(
             SKYLAKE_4114, "sz", load_field("nyx", "velocity_x", scale=64),
-            (CampaignPoint(error_bound=1e-1),), CAMPAIGN, **sweep_kwargs(),
+            (RunConfig(error_bound=1e-1),), CAMPAIGN, **sweep_kwargs(),
         )
 
     def test_tampered_value_raises(self, tmp_path):
@@ -313,7 +313,7 @@ campaign_st = st.builds(
     compute_power_w=st.floats(1.0, 500.0, allow_nan=False),
 )
 point_st = st.builds(
-    CampaignPoint,
+    RunConfig,
     error_bound=st.floats(1e-6, 1.0, allow_nan=False, exclude_min=False),
     compress_freq_ghz=st.one_of(st.none(), st.floats(0.8, 3.0)),
     write_freq_ghz=st.one_of(st.none(), st.floats(0.8, 3.0)),

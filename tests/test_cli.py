@@ -146,15 +146,14 @@ class TestCharacterizeTuneDump:
                 if "skylake" in line]
         assert len(rows) == 1 and "compress" in rows[0]
 
-    def test_dump(self, bundle_path, capsys):
-        assert main(["dump", "--models", str(bundle_path), "--arch", "skylake",
+    def test_dump(self, capsys):
+        assert main(["dump", "--arch", "skylake",
                      "--target-gb", "64", "--scale", "32"]) == 0
         out = capsys.readouterr().out
         assert "saved" in out and "kJ" in out
 
-    def test_dump_unknown_arch(self, bundle_path, capsys):
-        assert main(["dump", "--models", str(bundle_path),
-                     "--arch", "epyc"]) == 1
+    def test_dump_unknown_arch(self, capsys):
+        assert main(["dump", "--arch", "epyc"]) == 1
 
     def test_characterize_with_export_dir(self, tmp_path, capsys):
         out = tmp_path / "m.json"

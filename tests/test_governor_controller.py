@@ -23,7 +23,6 @@ from repro.governor import (
     Phase,
     StaticGovernor,
     make_governor,
-    resolve_governor,
     simulate_governed_io,
 )
 from repro.hardware.cpu import BROADWELL_D1548
@@ -150,16 +149,6 @@ class TestAdaptiveValidation:
     def test_oracle_needs_the_ground_truth_curve(self):
         with pytest.raises(ValueError, match="ground-truth"):
             make_governor("oracle", CPU)
-
-    def test_resolve_governor_forms(self):
-        assert resolve_governor(None, CPU) is None
-        gov = StaticGovernor(CPU)
-        assert resolve_governor(gov, CPU) is gov
-        assert resolve_governor("static", CPU).name == "static"
-        assert resolve_governor(GovernorSpec(kind="adaptive"), CPU).name \
-            == "adaptive"
-        with pytest.raises(ValueError):
-            resolve_governor(42, CPU)
 
 
 class TestAdaptiveConvergence:

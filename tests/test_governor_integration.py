@@ -21,8 +21,8 @@ from repro.hardware.node import SimulatedNode
 from repro.hardware.workload import WorkloadKind
 from repro.iosim.dumper import DataDumper
 from repro.workflow.campaign import (
-    CampaignPoint,
     CheckpointCampaign,
+    RunConfig,
     run_campaign,
     run_campaign_sweep,
 )
@@ -56,23 +56,26 @@ class TestStaticGovernorIsEqn3:
             governor=StaticGovernor(CPU),
         )
         pinned = DataDumper(SimulatedNode(CPU, seed=0)).dump(
-            SZCompressor(), field, 1e-2, int(2e9),
-            compress_freq_ghz=EQN3_COMPRESS, write_freq_ghz=EQN3_WRITE,
+            SZCompressor(), field,
+            RunConfig(1e-2, compress_freq_ghz=EQN3_COMPRESS,
+                      write_freq_ghz=EQN3_WRITE),
+            int(2e9),
         )
         assert governed.compress.freq_ghz == pinned.compress.freq_ghz
         assert governed.write.freq_ghz == pinned.write.freq_ghz
         assert governed.total_energy_j == pytest.approx(
             pinned.total_energy_j)
 
-    def test_explicit_frequency_overrides_the_governor(self, field):
+    def test_live_governor_rejects_a_pinned_stage(self, field):
+        # A pinned stage would ignore the governor and half-apply its
+        # policy, so the dump refuses the mix before anything runs.
         gov = StaticGovernor(CPU)
-        rep = DataDumper(SimulatedNode(CPU, seed=0)).dump(
-            SZCompressor(), field, 1e-2, int(1e9),
-            governor=gov, compress_freq_ghz=1.0,
-        )
-        assert rep.compress.freq_ghz == pytest.approx(1.0)
-        # The governor still steers the stage that was left free.
-        assert rep.write.freq_ghz == pytest.approx(EQN3_WRITE)
+        with pytest.raises(ValueError, match="cannot pin"):
+            DataDumper(SimulatedNode(CPU, seed=0)).dump(
+                SZCompressor(), field, RunConfig(1e-2, compress_freq_ghz=1.0),
+                int(1e9), governor=gov,
+            )
+        assert gov.trace == []
 
     def test_dump_feeds_observations_back(self, field):
         bus = TelemetryBus()
@@ -89,8 +92,8 @@ class TestStaticGovernorIsEqn3:
 class TestCampaignIntegration:
     def test_campaign_records_a_governor_report(self, field, campaign):
         report = run_campaign(
-            SimulatedNode(CPU, seed=0), SZCompressor(), field, 1e-2,
-            campaign, governor="adaptive",
+            SimulatedNode(CPU, seed=0), SZCompressor(), field,
+            RunConfig(1e-2, governor="adaptive"), campaign,
         )
         gov = report.governor
         assert gov is not None
@@ -107,21 +110,21 @@ class TestCampaignIntegration:
 
     def test_point_rejects_governor_plus_pinned_frequencies(self):
         with pytest.raises(ValueError, match="cannot pin"):
-            CampaignPoint(
+            RunConfig(
                 error_bound=1e-2, compress_freq_ghz=1.75,
                 governor=GovernorSpec(kind="adaptive"),
             )
 
-    def test_sweep_spec_fills_only_unpinned_points(self, field, campaign):
+    def test_static_point_decides_like_the_pinned_point(self, field, campaign):
         governed, pinned = run_campaign_sweep(
             CPU, SZCompressor(), field,
             (
-                CampaignPoint(error_bound=1e-2),
-                CampaignPoint(error_bound=1e-2,
-                              compress_freq_ghz=EQN3_COMPRESS,
-                              write_freq_ghz=EQN3_WRITE),
+                RunConfig(error_bound=1e-2, governor="static"),
+                RunConfig(error_bound=1e-2,
+                          compress_freq_ghz=EQN3_COMPRESS,
+                          write_freq_ghz=EQN3_WRITE),
             ),
-            campaign, governor="static",
+            campaign,
         )
         assert governed.governor is not None
         assert pinned.governor is None
@@ -135,14 +138,13 @@ class TestCacheNoAliasing:
         def key(point):
             return fingerprint(kind="campaign.point", point=point)
 
-        bare = CampaignPoint(error_bound=1e-2)
-        static = CampaignPoint(error_bound=1e-2,
-                               governor=GovernorSpec(kind="static"))
-        adaptive = CampaignPoint(error_bound=1e-2,
-                                 governor=GovernorSpec(kind="adaptive"))
-        reseeded = CampaignPoint(error_bound=1e-2,
-                                 governor=GovernorSpec(kind="adaptive",
-                                                       seed=1))
+        bare = RunConfig(error_bound=1e-2)
+        static = RunConfig(error_bound=1e-2,
+                           governor=GovernorSpec(kind="static"))
+        adaptive = RunConfig(error_bound=1e-2,
+                             governor=GovernorSpec(kind="adaptive"))
+        reseeded = RunConfig(error_bound=1e-2,
+                             governor=GovernorSpec(kind="adaptive", seed=1))
         keys = [key(p) for p in (bare, static, adaptive, reseeded)]
         assert len(set(keys)) == 4
 
@@ -151,8 +153,9 @@ class TestCacheNoAliasing:
         from repro.cache.serialization import decode_value, encode_value
 
         report = run_campaign(
-            SimulatedNode(CPU, seed=0), SZCompressor(), field, 1e-2,
-            campaign, governor=GovernorSpec(kind="adaptive", seed=3),
+            SimulatedNode(CPU, seed=0), SZCompressor(), field,
+            RunConfig(1e-2, governor=GovernorSpec(kind="adaptive", seed=3)),
+            campaign,
         )
         clone = decode_value(encode_value(report))
         assert clone == report
@@ -166,9 +169,9 @@ class TestExecutorMatrix:
         from repro.cache.serialization import encode_value
 
         points = (
-            CampaignPoint(error_bound=1e-2),
-            CampaignPoint(error_bound=1e-2,
-                          governor=GovernorSpec(kind="adaptive", seed=0)),
+            RunConfig(error_bound=1e-2),
+            RunConfig(error_bound=1e-2,
+                      governor=GovernorSpec(kind="adaptive", seed=0)),
         )
         kw = dict(repeats=1, seed=0)
         # Uncached, or the second sweep would replay the first's entries.
@@ -277,6 +280,14 @@ class TestGovernOverHttp:
         assert status == 400
         assert doc["error"] == "bad_request"
         assert needle in doc["message"]
+
+    def test_unknown_fields_answer_400(self, server):
+        # Mistyped, "windw" and "sesion" would otherwise step the
+        # default session with the default window.
+        status, doc = self._post(server, {"windw": 3, "sesion": "x"})
+        assert (status, doc["error"]) == (400, "bad_request")
+        assert "unknown fields ['sesion', 'windw']" in doc["message"]
+        assert "samples" in doc["message"]
 
 
 class TestCliGovern:

@@ -109,6 +109,25 @@ class TestRingSemantics:
         with pytest.raises(ValueError, match="window"):
             bus.window("compress", 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        phases=st.lists(st.sampled_from(["compress", "write", "idle"]),
+                        max_size=60),
+        capacity=st.integers(1, 24),
+        n=st.integers(1, 30),
+        phase=st.sampled_from(["compress", "write", "idle", Phase.WRITE,
+                               None]),
+    )
+    def test_window_is_the_tail_of_the_phase_filter(
+        self, phases, capacity, n, phase
+    ):
+        # Small capacities evict, so the window must look only at what
+        # the ring still holds.
+        bus = TelemetryBus(capacity=capacity)
+        for i, name in enumerate(phases):
+            pub(bus, phase=name, freq_ghz=1.0 + 0.01 * i)
+        assert bus.window(phase, n) == bus.samples(phase)[-n:]
+
 
 class TestSubscribers:
     def test_subscriber_sees_every_sample_until_unsubscribed(self):

@@ -7,7 +7,7 @@ from repro.compressors import SZCompressor, ZFPCompressor
 from repro.data import load_field
 from repro.hardware.cpu import BROADWELL_D1548, get_cpu
 from repro.hardware.node import SimulatedNode
-from repro.iosim.dumper import DataDumper, measure_ratio
+from repro.iosim.dumper import DataDumper, RunConfig, measure_ratio
 from repro.observability import get_registry
 from repro.resilience import FaultKind, FaultPlan, FaultSpec, RecoveryPolicy
 
@@ -49,8 +49,9 @@ class TestDump:
 
     def test_per_stage_frequencies_applied(self, dumper, sample):
         rep = dumper.dump(
-            SZCompressor(), sample, 1e-2, int(10e9),
-            compress_freq_ghz=1.75, write_freq_ghz=1.7,
+            SZCompressor(), sample,
+            RunConfig(1e-2, compress_freq_ghz=1.75, write_freq_ghz=1.7),
+            int(10e9),
         )
         assert rep.compress.freq_ghz == pytest.approx(1.75)
         assert rep.write.freq_ghz == pytest.approx(1.7)
@@ -58,8 +59,9 @@ class TestDump:
     def test_tuning_reduces_energy_noise_free(self, dumper, sample):
         base = dumper.dump(SZCompressor(), sample, 1e-2, int(100e9))
         tuned = dumper.dump(
-            SZCompressor(), sample, 1e-2, int(100e9),
-            compress_freq_ghz=1.75, write_freq_ghz=1.7,
+            SZCompressor(), sample,
+            RunConfig(1e-2, compress_freq_ghz=1.75, write_freq_ghz=1.7),
+            int(100e9),
         )
         assert tuned.total_energy_j < base.total_energy_j
         assert tuned.total_runtime_s > base.total_runtime_s
@@ -141,10 +143,10 @@ class TestThrottledDump:
         node = SimulatedNode(get_cpu(arch), power_noise=0.0,
                              runtime_noise=0.0, seed=0)
         plan = FaultPlan(specs=(FaultSpec(FaultKind.DVFS_THROTTLE,
-                                          probability=1.0, severity=severity),))
+                                          probability=1.0, severity=severity),),
+                         policy_doc=RecoveryPolicy(degraded_retune=retune).as_dict())
         rep = DataDumper(node, repeats=1).dump(
-            SZCompressor(), sample, 1e-2, int(10e9), fault_plan=plan,
-            policy=RecoveryPolicy(degraded_retune=retune),
+            SZCompressor(), sample, RunConfig(1e-2, fault_plan=plan), int(10e9),
         )
         assert rep.compress.freq_ghz == expected
         assert rep.write.freq_ghz == expected

@@ -27,7 +27,13 @@ from repro.hardware.cpu import BROADWELL_D1548, SKYLAKE_4114
 from repro.hardware.node import SimulatedNode
 from repro.hardware.powercurves import CalibratedPowerCurve
 from repro.hardware.workload import stage_kind
-from repro.iosim import DataDumper, DataLoader, SnapshotDumper, TieredDumper
+from repro.iosim import (
+    DataDumper,
+    DataLoader,
+    RunConfig,
+    SnapshotDumper,
+    TieredDumper,
+)
 from repro.iosim.cluster import Cluster, SimulatedCluster
 from repro.iosim.snapshot import SnapshotField, SnapshotSpec
 from repro.observability import Tracer, get_registry, use_tracer
@@ -121,14 +127,14 @@ def dumper_throttled(sample):
     node = SimulatedNode(BROADWELL_D1548, seed=8)
     governor = make_governor(
         "adaptive", node.cpu, seed=8, power_curve=node.power_curve)
-    caps = phase_caps_for_budget(node.cpu, node.power_curve, 19.0, codec="sz")
     plan = FaultPlan(specs=(
         FaultSpec(FaultKind.DVFS_THROTTLE, snapshots=(1,), severity=0.6),
     ))
+    run = RunConfig(1e-2, power_budget_w=19.0, fault_plan=plan)
     dumper = DataDumper(node, repeats=2)
     reports = [
-        dumper.dump(SZCompressor(), sample, 1e-2, 8 * GB, fault_plan=plan,
-                    snapshot_index=index, governor=governor, phase_caps=caps)
+        dumper.dump(SZCompressor(), sample, run, 8 * GB,
+                    snapshot_index=index, governor=governor)
         for index in range(3)
     ]
     return reports, governor.report()
@@ -356,8 +362,8 @@ class TestLazyMeasurement:
     def campaign(self, sample, fault_plan):
         return run_campaign(
             SimulatedNode(BROADWELL_D1548, seed=0), SZCompressor(), sample,
-            1e-2, self.CAMPAIGN, repeats=1, chunk_bytes=4096,
-            executor=EXECUTOR, workers=2, fault_plan=fault_plan,
+            RunConfig(1e-2, fault_plan=fault_plan), self.CAMPAIGN, repeats=1,
+            chunk_bytes=4096, executor=EXECUTOR, workers=2,
         )
 
     def test_clean_pair_measures_once(self):

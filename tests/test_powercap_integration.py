@@ -3,7 +3,7 @@
 CI runs this file under the 4-backend ``REPRO_TEST_EXECUTOR`` matrix:
 a budget-capped campaign sweep must be byte-identical whichever backend
 runs it, because the budget travels inside the pure, picklable
-:class:`~repro.workflow.campaign.CampaignPoint` and the runtime cap
+:class:`~repro.iosim.dumper.RunConfig` and the runtime cap
 frames are observational only.
 """
 
@@ -23,8 +23,8 @@ from repro.iosim.cluster import Cluster, SimulatedCluster
 from repro.iosim.dumper import DataDumper
 from repro.powercap import ClusterCapController, phase_caps_for_budget
 from repro.workflow.campaign import (
-    CampaignPoint,
     CheckpointCampaign,
+    RunConfig,
     run_campaign,
     run_campaign_sweep,
 )
@@ -142,8 +142,8 @@ class TestCappedDumper:
     def test_phase_caps_clamp_the_pinned_frequencies(self, field):
         caps = phase_caps_for_budget(CPU, CURVE, 18.0)
         dumper = DataDumper(SimulatedNode(CPU, seed=0))
-        capped = dumper.dump(SZCompressor(), field, 1e-2, GB,
-                             phase_caps=caps)
+        capped = dumper.dump(SZCompressor(), field,
+                             RunConfig(1e-2, power_budget_w=18.0), GB)
         assert capped.compress.freq_ghz == pytest.approx(caps["compress"])
         assert capped.write.freq_ghz == pytest.approx(caps["write"])
 
@@ -151,7 +151,7 @@ class TestCappedDumper:
         base = DataDumper(SimulatedNode(CPU, seed=0)).dump(
             SZCompressor(), field, 1e-2, GB)
         nocap = DataDumper(SimulatedNode(CPU, seed=0)).dump(
-            SZCompressor(), field, 1e-2, GB, phase_caps=None)
+            SZCompressor(), field, RunConfig(1e-2, power_budget_w=None), GB)
         assert encode_value(nocap) == encode_value(base)
 
 
@@ -160,24 +160,26 @@ class TestCappedCampaigns:
         base = run_campaign(SimulatedNode(CPU, seed=0), SZCompressor(),
                             field, 1e-2, campaign)
         uncapped = run_campaign(SimulatedNode(CPU, seed=0), SZCompressor(),
-                                field, 1e-2, campaign, power_budget_w=None)
+                                field, RunConfig(1e-2, power_budget_w=None),
+                                campaign)
         assert encode_value(uncapped) == encode_value(base)
 
     def test_budget_caps_the_campaign_io_power(self, field, campaign):
         free = run_campaign(SimulatedNode(CPU, seed=0), SZCompressor(),
                             field, 1e-2, campaign)
         capped = run_campaign(SimulatedNode(CPU, seed=0), SZCompressor(),
-                              field, 1e-2, campaign, power_budget_w=18.0)
+                              field, RunConfig(1e-2, power_budget_w=18.0),
+                              campaign)
         assert capped.io_time_s > free.io_time_s
         caps = phase_caps_for_budget(CPU, CURVE, 18.0)
         assert max(caps.values()) < CPU.fmax_ghz
 
     def test_capped_sweep_is_backend_identical(self, field, campaign):
         points = (
-            CampaignPoint(error_bound=1e-2),
-            CampaignPoint(error_bound=1e-3),
+            RunConfig(error_bound=1e-2, power_budget_w=18.0),
+            RunConfig(error_bound=1e-3, power_budget_w=18.0),
         )
-        kw = dict(repeats=1, seed=0, power_budget_w=18.0)
+        kw = dict(repeats=1, seed=0)
         # Uncached, or the second sweep would replay the first's entries.
         with use_cache(ResultCache(enabled=False)):
             baseline = run_campaign_sweep(
@@ -188,24 +190,24 @@ class TestCappedCampaigns:
                 executor=EXECUTOR, **kw)
         assert encode_value(list(under_test)) == encode_value(list(baseline))
 
-    def test_sweep_budget_fills_only_unset_points(self, field, campaign):
+    def test_tighter_point_budget_clamps_harder(self, field, campaign):
         own, inherited = run_campaign_sweep(
             CPU, SZCompressor(), field,
             (
-                CampaignPoint(error_bound=1e-2, power_budget_w=17.0),
-                CampaignPoint(error_bound=1e-2),
+                RunConfig(error_bound=1e-2, power_budget_w=17.0),
+                RunConfig(error_bound=1e-2, power_budget_w=19.0),
             ),
-            campaign, power_budget_w=19.0, repeats=1,
+            campaign, repeats=1,
         )
-        # The tighter per-point budget clamps harder than the sweep-wide
-        # default it would otherwise inherit.
+        # The tighter budget clamps harder than the looser one beside
+        # it in the same sweep.
         assert own.io_time_s >= inherited.io_time_s
 
     def test_sweep_rejects_bad_budgets(self, field, campaign):
         with pytest.raises(ValueError, match="power_budget_w"):
             run_campaign_sweep(
-                CPU, SZCompressor(), field, (1e-2,), campaign,
-                power_budget_w=-5.0)
+                CPU, SZCompressor(), field,
+                (RunConfig(1e-2, power_budget_w=-5.0),), campaign)
 
 
 class TestCacheNoAliasing:
@@ -213,14 +215,14 @@ class TestCacheNoAliasing:
         def key(point):
             return fingerprint(kind="campaign.point", point=point)
 
-        bare = CampaignPoint(error_bound=1e-2)
-        capped = CampaignPoint(error_bound=1e-2, power_budget_w=18.0)
-        tighter = CampaignPoint(error_bound=1e-2, power_budget_w=16.0)
+        bare = RunConfig(error_bound=1e-2)
+        capped = RunConfig(error_bound=1e-2, power_budget_w=18.0)
+        tighter = RunConfig(error_bound=1e-2, power_budget_w=16.0)
         assert len({key(bare), key(capped), key(tighter)}) == 3
 
     def test_point_rejects_non_positive_budgets(self):
         with pytest.raises(ValueError):
-            CampaignPoint(error_bound=1e-2, power_budget_w=0.0)
+            RunConfig(error_bound=1e-2, power_budget_w=0.0)
 
 
 def _slow_square(x):

@@ -110,6 +110,19 @@ class TestPowercapBadRequests:
         assert doc["error"] == "bad_request"
         assert needle in doc["message"]
 
+    def test_unknown_fields_answer_400(self, server):
+        # A mistyped optional field must not fall back to its default:
+        # "polcy" would otherwise run the waterfill policy unasked.
+        status, doc = post(server, {
+            "budget_w": 120.0, "nodes": [{"id": "a"}], "polcy": "uniform",
+        })
+        assert (status, doc["error"]) == (400, "bad_request")
+        assert "unknown fields ['polcy']" in doc["message"]
+        status, _ = post(server, {
+            "budget_w": 120.0, "nodes": [{"id": "a"}], "policy": "uniform",
+        })
+        assert status == 200
+
     def test_get_is_not_allowed(self, server):
         status, _ = request_json(server.url + "/v1/powercap")
         assert status in (404, 405)

@@ -10,6 +10,7 @@ swallowed as cancellations.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from repro.resilience import (
     SnapshotLostError,
 )
 from repro.workflow.campaign import (
-    CampaignPoint,
     CheckpointCampaign,
+    RunConfig,
     run_campaign,
     run_campaign_sweep,
 )
@@ -50,8 +51,13 @@ GOLDEN_PLAN = FaultPlan(specs=(
               attempts=1, severity=0.5),
 ), seed=42)
 
-GOLDEN_POINTS = (CampaignPoint(error_bound=1e-2),
-                 CampaignPoint(error_bound=1e-3))
+GOLDEN_POINTS = (RunConfig(error_bound=1e-2),
+                 RunConfig(error_bound=1e-3))
+
+
+def planned(points, plan):
+    """*points* with *plan* riding in each."""
+    return tuple(RunConfig(p.error_bound, fault_plan=plan) for p in points)
 
 
 def golden_sweep(executor="serial", workers=None):
@@ -59,8 +65,8 @@ def golden_sweep(executor="serial", workers=None):
     # would serve one run's entries to the next).
     with use_cache(ResultCache(enabled=False)):
         return run_campaign_sweep(
-            CPU, "sz", FIELD, GOLDEN_POINTS, CAMPAIGN, repeats=1, seed=0,
-            executor=executor, workers=workers, fault_plan=GOLDEN_PLAN,
+            CPU, "sz", FIELD, planned(GOLDEN_POINTS, GOLDEN_PLAN), CAMPAIGN,
+            repeats=1, seed=0, executor=executor, workers=workers,
         )
 
 
@@ -70,8 +76,8 @@ class TestAcceptanceScenario:
     def run(self, plan=None):
         node = SimulatedNode(CPU, seed=0)
         return run_campaign(
-            node, SZCompressor(), FIELD, 1e-2, CAMPAIGN, repeats=1,
-            fault_plan=plan,
+            node, SZCompressor(), FIELD, RunConfig(1e-2, fault_plan=plan),
+            CAMPAIGN, repeats=1,
         )
 
     def test_hard_failure_recovers_with_overhead_and_no_loss(self):
@@ -155,9 +161,8 @@ class TestSweepFailureSurfacing:
     def test_snapshot_loss_raises_cleanly(self, executor):
         with pytest.raises(SnapshotLostError, match="snapshot 0"):
             run_campaign_sweep(
-                CPU, "sz", FIELD, GOLDEN_POINTS, CAMPAIGN, repeats=1,
-                seed=0, executor=executor, workers=2,
-                fault_plan=self.LETHAL,
+                CPU, "sz", FIELD, planned(GOLDEN_POINTS, self.LETHAL),
+                CAMPAIGN, repeats=1, seed=0, executor=executor, workers=2,
             )
 
     def test_first_point_failure_wins_under_process_pool(self):
@@ -171,8 +176,8 @@ class TestSweepFailureSurfacing:
         )
         with pytest.raises(SnapshotLostError, match="snapshot 1"):
             run_campaign_sweep(
-                CPU, "sz", FIELD, GOLDEN_POINTS, CAMPAIGN, repeats=1,
-                seed=0, executor="process", workers=2, fault_plan=plan,
+                CPU, "sz", FIELD, planned(GOLDEN_POINTS, plan), CAMPAIGN,
+                repeats=1, seed=0, executor="process", workers=2,
             )
 
 
@@ -183,8 +188,9 @@ class TestChunkedDumpResilience:
         node = SimulatedNode(CPU, seed=0)
         dumper = DataDumper(node, repeats=1, chunk_bytes=chunk_bytes,
                             executor="serial")
-        return dumper.dump(SZCompressor(), FIELD, 1e-2, 10**9,
-                           fault_plan=plan, snapshot_index=0)
+        return dumper.dump(SZCompressor(), FIELD,
+                           RunConfig(1e-2, fault_plan=plan), 10**9,
+                           snapshot_index=0)
 
     def test_worker_crash_is_retried_and_charged(self):
         plan = FaultPlan(specs=(
@@ -234,6 +240,7 @@ class TestGovernedSkippedWrite:
         FaultSpec(FaultKind.NFS_HARD_FAILURE, probability=1.0),
     ), seed=0)
     POLICY = RecoveryPolicy(failover=False, skip_on_exhaustion=True)
+    RUN = RunConfig(1e-2, fault_plan=replace(PLAN, policy_doc=POLICY.as_dict()))
 
     @staticmethod
     def executor():
@@ -247,8 +254,7 @@ class TestGovernedSkippedWrite:
         governor = make_governor("adaptive", CPU)
         dumper = DataDumper(SimulatedNode(CPU, seed=0), repeats=1,
                             **self.executor())
-        report = dumper.dump(SZCompressor(), FIELD, 1e-2, 10**9,
-                             fault_plan=self.PLAN, policy=self.POLICY,
+        report = dumper.dump(SZCompressor(), FIELD, self.RUN, 10**9,
                              governor=governor)
         assert report.write.stage == "write-skipped"
         assert report.resilience.lost
@@ -257,9 +263,8 @@ class TestGovernedSkippedWrite:
     def test_campaign_counts_each_snapshot_lost(self):
         governor = make_governor("adaptive", CPU)
         report = run_campaign(
-            SimulatedNode(CPU, seed=0), SZCompressor(), FIELD, 1e-2,
-            CAMPAIGN, repeats=1, fault_plan=self.PLAN, policy=self.POLICY,
-            governor=governor, **self.executor(),
+            SimulatedNode(CPU, seed=0), SZCompressor(), FIELD, self.RUN,
+            CAMPAIGN, repeats=1, governor=governor, **self.executor(),
         )
         assert report.snapshots_lost == CAMPAIGN.n_snapshots
         assert [snap.write.stage for snap in report.snapshots] == [

@@ -24,8 +24,8 @@ from repro.hardware.cpu import get_cpu
 from repro.hardware.node import SimulatedNode
 from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.workflow.campaign import (
-    CampaignPoint,
     CheckpointCampaign,
+    RunConfig,
     run_campaign,
     run_campaign_sweep,
 )
@@ -46,8 +46,8 @@ ALL_KINDS = tuple(FaultKind)
 def campaign_report(plan):
     node = SimulatedNode(CPU, seed=0)
     return run_campaign(
-        node, SZCompressor(), FIELD, 1e-2, CAMPAIGN, repeats=1,
-        fault_plan=plan,
+        node, SZCompressor(), FIELD, RunConfig(1e-2, fault_plan=plan),
+        CAMPAIGN, repeats=1,
     )
 
 
@@ -141,15 +141,17 @@ class TestZeroFaultNeutrality:
             FaultSpec(FaultKind.NFS_HARD_FAILURE, probability=0.0),
             FaultSpec(FaultKind.WORKER_CRASH, probability=0.0),
         ), seed=13)
-        points = (CampaignPoint(error_bound=1e-2),
-                  CampaignPoint(error_bound=1e-3))
+        points = (RunConfig(error_bound=1e-2),
+                  RunConfig(error_bound=1e-3))
+        planned = tuple(RunConfig(p.error_bound, fault_plan=plan)
+                        for p in points)
         baseline = run_campaign_sweep(
             CPU, "sz", FIELD, points, CAMPAIGN, repeats=1, seed=0,
             executor="serial",
         )
         for executor in ("serial", "thread", "process"):
             withplan = run_campaign_sweep(
-                CPU, "sz", FIELD, points, CAMPAIGN, repeats=1, seed=0,
-                executor=executor, workers=2, fault_plan=plan,
+                CPU, "sz", FIELD, planned, CAMPAIGN, repeats=1, seed=0,
+                executor=executor, workers=2,
             )
             assert withplan == baseline, executor

@@ -180,6 +180,44 @@ class TestTuneArchNames:
                               "stage": "compress"})
 
 
+class TestTuneCacheKeys:
+    def test_arch_aliases_share_one_entry(self):
+        from repro.cache import ResultCache, use_cache
+
+        with use_cache(ResultCache()):
+            srv = TuningServer(ServiceConfig(port=0, workers=1))
+            srv.registry.put("prod", make_bundle())
+            with srv:
+                replies = [
+                    request_json(srv.url + "/v1/tune", "POST", {
+                        "model": "prod", "arch": arch, "stage": "compress",
+                    })
+                    for arch in ("broadwell", "Broadwell", "m510", "BROADWELL")
+                ]
+        assert all(status == 200 for status, _ in replies)
+        assert all(doc == replies[0][1] for _, doc in replies)
+        counts = {
+            (m.name, dict(m.labels).get("context")): m.value
+            for m in get_metrics_registry().metrics()
+            if m.name in ("repro_cache_hits_total", "repro_cache_misses_total")
+        }
+        assert counts[("repro_cache_misses_total", "service.tune")] == 1
+        assert counts[("repro_cache_hits_total", "service.tune")] == 3
+
+    def test_canonical_payload_keys_as_before(self):
+        from repro.cache import fingerprint
+
+        with TuningServer(ServiceConfig(port=0, workers=1)) as srv:
+            entry = srv.registry.put("prod", make_bundle())
+            payload = {"model": "prod", "arch": "skylake", "stage": "write"}
+            assert srv.cache_key("tune", payload) == fingerprint(
+                kind="service.tune", payload=payload, bundle=entry.fingerprint)
+            decide = {"arch": "broadwell", "ratio": 2.0}
+            assert srv.cache_key("decide", decide) == fingerprint(
+                kind="service.decide", payload=decide)
+            assert srv.cache_key("decide", {"arch": "zen9"}) is None
+
+
 class TestDecide:
     def test_decide_contended_write_compresses(self, server):
         status, doc = request_json(server.url + "/v1/decide", "POST", {
@@ -309,6 +347,29 @@ class TestDrain:
         # The listener is closed; nothing should answer any more.
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
             urllib.request.urlopen(server.url + "/readyz", timeout=2.0)
+
+    @staticmethod
+    def _finishes(fn, timeout_s=10.0):
+        """Run *fn* on a thread; whether it returned within the timeout
+        (a hang fails the test instead of hanging the suite)."""
+        thread = threading.Thread(target=fn, daemon=True)
+        thread.start()
+        thread.join(timeout_s)
+        return not thread.is_alive()
+
+    def test_drain_of_a_server_that_never_served_returns(self):
+        server = TuningServer(ServiceConfig(port=0, workers=1))
+        assert self._finishes(server.drain)
+        assert server.draining
+
+    def test_serve_after_drain_returns_at_once(self):
+        # A SIGTERM that lands before ``repro-tool serve`` reaches its
+        # serve loop drains first; the loop must then not start.
+        server = TuningServer(ServiceConfig(port=0, workers=1))
+        assert self._finishes(server.drain)
+        assert self._finishes(server.serve_forever)
+        with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
+            urllib.request.urlopen(server.url + "/healthz", timeout=2.0)
 
     def test_drain_completes_accepted_job(self):
         server = TuningServer(ServiceConfig(port=0, workers=2))

@@ -24,9 +24,8 @@ from repro.hardware.node import SimulatedNode
 from repro.observability import get_registry
 from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.workflow.campaign import (
-    CampaignPoint,
-    CampaignReport,
     CheckpointCampaign,
+    RunConfig,
     run_campaign,
     run_campaign_sweep,
 )
@@ -97,8 +96,9 @@ class TestRunCampaign:
     def test_tuning_saves_io_energy_with_tiny_wall_penalty(self, node, sample):
         base = run_campaign(node, SZCompressor(), sample, 1e-2, CAMPAIGN, repeats=1)
         tuned = run_campaign(
-            node, SZCompressor(), sample, 1e-2, CAMPAIGN,
-            compress_freq_ghz=1.925, write_freq_ghz=1.85, repeats=1,
+            node, SZCompressor(), sample,
+            RunConfig(1e-2, compress_freq_ghz=1.925, write_freq_ghz=1.85),
+            CAMPAIGN, repeats=1,
         )
         assert tuned.io_energy_j < base.io_energy_j
         wall_penalty = tuned.total_wall_s / base.total_wall_s - 1.0
@@ -149,8 +149,8 @@ class TestCampaignSweep:
             assert a.io_time_s == b.io_time_s
 
     def test_tuned_points_save_energy(self, sample):
-        base = CampaignPoint(error_bound=1e-2)
-        tuned = CampaignPoint(
+        base = RunConfig(error_bound=1e-2)
+        tuned = RunConfig(
             error_bound=1e-2, compress_freq_ghz=1.925, write_freq_ghz=1.85
         )
         reports = run_campaign_sweep(
@@ -166,7 +166,7 @@ class TestCampaignSweep:
             run_campaign_sweep(SKYLAKE_4114, "lz4", sample, (1e-2,),
                                SWEEP_CAMPAIGN)
         with pytest.raises(ValueError):
-            CampaignPoint(error_bound=-1.0)
+            RunConfig(error_bound=-1.0)
 
 
 MEASURE_CAMPAIGN = CheckpointCampaign(
@@ -175,24 +175,34 @@ MEASURE_CAMPAIGN = CheckpointCampaign(
 CLOCKS = dict(compress_freq_ghz=1.925, write_freq_ghz=1.85)
 #: Two bounds, interleaved with pinned-clock twins, so per-bound tasks
 #: must scatter their reports back to the right points.
-MIXED = (1e-1, 1e-2, CampaignPoint(1e-1, **CLOCKS), CampaignPoint(1e-2, **CLOCKS))
+MIXED = (1e-1, 1e-2, RunConfig(1e-1, **CLOCKS), RunConfig(1e-2, **CLOCKS))
+
+
+def mixed(governor=None, **settings):
+    """MIXED with *settings* in every point and *governor* in the two
+    that pin no clocks."""
+    return tuple(
+        RunConfig(bound, governor=governor, **settings) for bound in MIXED[:2]
+    ) + tuple(RunConfig(p.error_bound, **CLOCKS, **settings) for p in MIXED[2:])
+
+
 MEASURE_SWEEPS = {
     "pinned": dict(points=MIXED),
-    "adaptive": dict(points=MIXED, governor="adaptive"),
+    "adaptive": dict(points=mixed(governor="adaptive")),
     "adaptive-budget": dict(
-        codec="zfp", points=MIXED, governor="adaptive", power_budget_w=30.0
+        codec="zfp", points=mixed(governor="adaptive", power_budget_w=30.0)
     ),
-    "nfs-faults": dict(points=MIXED, fault_plan=FaultPlan(specs=(
+    "nfs-faults": dict(points=mixed(fault_plan=FaultPlan(specs=(
         FaultSpec(FaultKind.NFS_HARD_FAILURE, snapshots=(0,)),
         FaultSpec(FaultKind.NFS_TRANSIENT_ERROR, snapshots=(1,), attempts=1),
-    ), seed=42)),
+    ), seed=42))),
     # 16 KiB field in 4 KiB slabs: slab 1 crashes on snapshot 0, chunk
     # 2 takes a bit flip on snapshot 1.
-    "chunked-faults": dict(points=MIXED, chunk_bytes=4096, fault_plan=FaultPlan(
+    "chunked-faults": dict(chunk_bytes=4096, points=mixed(fault_plan=FaultPlan(
         specs=(
             FaultSpec(FaultKind.WORKER_CRASH, snapshots=(0,), targets=(1,)),
             FaultSpec(FaultKind.BIT_FLIP, snapshots=(1,), targets=(2,)),
-        ), seed=5)),
+        ), seed=5))),
 }
 #: sha256 of ``encode_value`` over each sweep's reports, slab timings
 #: zeroed, as computed by the per-point sweep that measured the sample
@@ -263,7 +273,7 @@ class TestMeasureOnce:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_sweep_compresses_once_per_bound(self, sample, executor):
         points = tuple(
-            CampaignPoint(bound, **extra)
+            RunConfig(bound, **extra)
             for bound in (1e-1, 1e-2, 1e-3)
             for extra in (
                 CLOCKS,
@@ -294,7 +304,8 @@ class TestMeasureOnce:
         ))
         before = compress_calls()
         report = run_campaign(
-            node, SZCompressor(), sample, 1e-2, CAMPAIGN, fault_plan=plan, **kw
+            node, SZCompressor(), sample, RunConfig(1e-2, fault_plan=plan),
+            CAMPAIGN, **kw
         )
         assert compress_calls() - before == 8
         assert [s.parallel.retried_tasks for s in report.snapshots] == [
@@ -304,9 +315,9 @@ class TestMeasureOnce:
     @pytest.mark.parametrize("executor", ["process", "distributed"])
     def test_one_bound_sweep_matches_serial(self, sample, executor):
         points = (
-            CampaignPoint(1e-2),
-            CampaignPoint(1e-2, **CLOCKS),
-            CampaignPoint(1e-2, governor="adaptive", power_budget_w=30.0),
+            RunConfig(1e-2),
+            RunConfig(1e-2, **CLOCKS),
+            RunConfig(1e-2, governor="adaptive", power_budget_w=30.0),
         )
 
         def sweep(executor):
@@ -327,19 +338,16 @@ def cloud_level():
 class TestConfiguredCompressor:
     def test_configured_sweep_equals_direct_runs(self, cloud_level):
         codec = SZCompressor(predictor="regression")
-        points = (1e-2, 1e-3, CampaignPoint(1e-3, **CLOCKS))
+        points = (1e-2, 1e-3, RunConfig(1e-3, **CLOCKS))
         reports = run_campaign_sweep(
             SKYLAKE_4114, codec, cloud_level, points, MEASURE_CAMPAIGN,
             repeats=1, executor=EXECUTOR, workers=2,
         )
         for point, rep in zip(points, reports):
-            point = point if isinstance(point, CampaignPoint) else CampaignPoint(point)
             direct = run_campaign(
                 SimulatedNode(SKYLAKE_4114, seed=0),
                 SZCompressor(predictor="regression"), cloud_level,
-                point.error_bound, MEASURE_CAMPAIGN, repeats=1,
-                compress_freq_ghz=point.compress_freq_ghz,
-                write_freq_ghz=point.write_freq_ghz,
+                point, MEASURE_CAMPAIGN, repeats=1,
             )
             assert encode_value(rep) == encode_value(direct)
         default = run_campaign_sweep(
@@ -396,7 +404,7 @@ class TestPointKeys:
         self, field, bounds, clocks, seed, codec
     ):
         points = tuple(
-            CampaignPoint(b, **(CLOCKS if clocks else {})) for b in bounds
+            RunConfig(b, **(CLOCKS if clocks else {})) for b in bounds
         )
         cache = _RecordingCache()
         set_cache(cache)
@@ -409,7 +417,7 @@ class TestPointKeys:
                 kind="campaign.point", cpu=SKYLAKE_4114,
                 codec=get_compressor(codec), field=field,
                 campaign=MEASURE_CAMPAIGN, nfs=None, repeats=1, seed=seed,
-                fault_plan=None, chunk=None, point=point,
+                chunk=None, point=point,
             )
             for point in points
         ]
