@@ -5,7 +5,6 @@ the power model — as held-out prediction error: every partition model
 predicts a fresh (differently-seeded) sweep of each architecture.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.core.scaling import add_scaled_columns

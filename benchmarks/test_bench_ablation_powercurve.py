@@ -7,7 +7,6 @@ Eqn. 3 rule does not always (the physical Broadwell curve is too
 shallow at 0.875·f_max to beat the runtime penalty).
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.core.pipeline import TunedIOPipeline

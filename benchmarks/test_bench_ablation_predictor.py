@@ -5,7 +5,6 @@ fields: Lorenzo dominates rough data, the regression hyperplanes win on
 piecewise-smooth data, and exact auto-selection never loses to either.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.compressors import SZCompressor

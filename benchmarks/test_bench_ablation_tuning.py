@@ -5,7 +5,6 @@ paper's fixed factors and under per-architecture energy-optimal
 frequencies, including a slowdown-capped variant.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.core.tuning import recommend

@@ -6,7 +6,6 @@ out of sample — otherwise Table IV's conclusion would be an artifact of
 in-sample fitting.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.workflow.report import render_table

@@ -7,7 +7,6 @@ each (codec, bound) and checks the analytic threshold against the
 strategy simulator.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.compressors import SZCompressor, ZFPCompressor

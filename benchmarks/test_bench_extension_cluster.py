@@ -5,7 +5,6 @@ concurrently. Asserts the emergent contention behaviour and that the
 tuning rule keeps saving energy fleet-wide.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.compressors import SZCompressor

@@ -5,7 +5,6 @@ on the table. This bench quantifies how much: the (cores × frequency)
 energy optimum vs the paper's Eqn. 3 single-core rule, per chip.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.core.multicore import optimal_configuration, pareto_front, sweep_configurations

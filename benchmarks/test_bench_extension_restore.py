@@ -6,7 +6,6 @@ fetching and decompressing a 512 GB snapshot, and restoring costs less
 than dumping.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.compressors import SZCompressor

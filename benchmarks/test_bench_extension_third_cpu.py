@@ -6,7 +6,6 @@ is an independent intermediate shape, not a paper fit) and check every
 headline trend.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.core.power_model import PowerModel

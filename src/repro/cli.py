@@ -1078,7 +1078,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.observability import Tracer, set_tracer
 
         tracer = Tracer()
-        set_tracer(tracer)
+        previous_tracer = set_tracer(tracer)
     restore_cache = _install_cache(args)
     try:
         return _HANDLERS[args.command](args)
@@ -1089,9 +1089,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if restore_cache is not None:
             restore_cache()
         if tracer is not None:
-            from repro.observability import NullTracer, set_tracer
-
-            set_tracer(NullTracer())
+            set_tracer(previous_tracer)
             # Artifacts are written even if the command failed: a trace
             # of the stages that did run is exactly what debugging needs.
             _export_observability(args, tracer)

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.hardware.cpu import CpuSpec
 from repro.hardware.powercurves import CalibratedPowerCurve, PowerCurve
 from repro.hardware.workload import (

@@ -15,10 +15,8 @@ methodology on a pair of simulated nodes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.cache import fingerprint, get_cache
 from repro.compressors.base import Compressor, get_compressor

@@ -7,7 +7,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.regression import PowerLawFit, fit_power_law
+from repro.core.regression import fit_power_law
 from repro.core.samples import SampleSet
 from repro.utils.stats import GoodnessOfFit, goodness_of_fit
 

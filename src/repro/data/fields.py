@@ -13,7 +13,7 @@ no per-element Python loops.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

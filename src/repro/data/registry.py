@@ -11,7 +11,6 @@ snapshots to reach 512 GB.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, Mapping, Tuple

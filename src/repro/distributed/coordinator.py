@@ -225,13 +225,6 @@ class DistributedExecutor(Executor):
         #: ``repro_dist_reassignments_total`` counter.
         self.reassignment_log: List[Tuple[int, int]] = []
         self.duplicate_results = 0
-        #: Telemetry samples shipped by workers (``telemetry`` frames),
-        #: in arrival order, each annotated with the worker pid. Drained
-        #: by :meth:`drain_telemetry`.
-        self.telemetry: List[dict] = []
-        #: (controller, cpu, power_curve) once attach_powercap() wires a
-        #: ClusterCapController over the fleet; None = uncapped.
-        self._powercap: Optional[Tuple[Any, Any, Any]] = None
 
     # -- fleet assembly ------------------------------------------------
 
@@ -416,7 +409,6 @@ class DistributedExecutor(Executor):
         with self._lock:
             self._threads.append(thread)
             self._pump_locked()
-        self._sync_powercap("join")
 
     # -- per-worker reader ---------------------------------------------
 
@@ -438,36 +430,8 @@ class DistributedExecutor(Executor):
                 self._commit_result(handle, msg)
             elif kind == "task_error":
                 self._commit_failure(handle, msg)
-            elif kind == "telemetry":
-                self._commit_telemetry(handle, msg)
-
-    def _commit_telemetry(self, handle: _WorkerHandle, msg: dict) -> None:
-        """Aggregate a worker's per-phase telemetry frame.
-
-        Telemetry is observational, not transactional: frames from
-        reassigned shards are kept (each is tagged with its worker pid
-        and shard index), because duplicate power samples are still
-        real power draw — deduplication is the consumer's call.
-        """
-        samples = msg.get("samples") or []
-        with self._lock:
-            handle.last_seen = time.monotonic()
-            for sample in samples:
-                record = dict(sample)
-                record["worker_pid"] = handle.pid
-                record["shard_index"] = int(msg.get("shard_index", -1))
-                record["source"] = "distributed"
-                self.telemetry.append(record)
-        _counter(
-            "repro_dist_telemetry_frames_total",
-            "Telemetry frames shipped by fleet workers",
-        ).inc()
-
-    def drain_telemetry(self) -> List[dict]:
-        """Return and clear the aggregated fleet telemetry records."""
-        with self._lock:
-            records, self.telemetry = self.telemetry, []
-        return records
+            # Other frame types are skipped: a worker of another build
+            # may send frames this one does not know.
 
     def _commit_result(self, handle: _WorkerHandle, msg: dict) -> None:
         t_done = time.monotonic()
@@ -592,9 +556,6 @@ class DistributedExecutor(Executor):
                     )
             self._pump_locked()
             self._cond.notify_all()
-        # A dead node's watts redistribute on the leave epoch; the
-        # survivors get their raised caps broadcast right away.
-        self._sync_powercap("leave")
 
     def _monitor_loop(self) -> None:
         while not self._closed:
@@ -710,73 +671,6 @@ class DistributedExecutor(Executor):
             op="task", shard=msg["shard_index"], worker=handle.pid,
             nbytes=nbytes,
         )
-
-    # -- power capping -------------------------------------------------
-
-    def attach_powercap(self, controller, cpu, power_curve) -> None:
-        """Wire a :class:`~repro.powercap.ClusterCapController` over
-        the fleet.
-
-        Every live worker joins the controller as a node (id
-        ``worker-<id>``); later joins and deaths trigger allocation
-        epochs, and each epoch's personalized cap goes out as a
-        ``powercap`` wire frame. The frames are observational — shard
-        results stay a pure function of the shard inputs (a campaign's
-        watt budget travels inside its :class:`RunConfig`), which
-        is what keeps distributed maps byte-identical to serial runs.
-        A dead worker's watts redistribute on its leave epoch.
-        """
-        with self._lock:
-            self._powercap = (controller, cpu, power_curve)
-        self._sync_powercap("attach")
-
-    def powercap_controller(self):
-        """The attached controller, or None when uncapped."""
-        attached = self._powercap
-        return None if attached is None else attached[0]
-
-    def _sync_powercap(self, event: str) -> None:
-        """Reconcile fleet membership with the controller + broadcast."""
-        attached = self._powercap
-        if attached is None:
-            return
-        controller, cpu, power_curve = attached
-        with self._lock:
-            live = {
-                f"worker-{w.worker_id}": w
-                for w in self._workers.values()
-                if w.alive
-            }
-        known = set(controller.node_ids())
-        for node_id in sorted(set(live) - known):
-            controller.join(node_id, cpu, power_curve)
-        for node_id in sorted(known - set(live)):
-            try:
-                controller.leave(node_id)
-            except KeyError:  # pragma: no cover - concurrent reconcile
-                pass
-        caps = controller.caps()
-        epoch = controller.epoch
-        for node_id, handle in sorted(live.items()):
-            cap = caps.get(node_id)
-            if cap is None:
-                continue
-            try:
-                handle.send({
-                    "type": "powercap",
-                    "node_id": node_id,
-                    "cap_w": cap.cap_w,
-                    "cap_ghz": cap.cap_ghz,
-                    "infeasible": cap.infeasible,
-                    "epoch": epoch,
-                })
-            except OSError:
-                continue
-            _counter(
-                "repro_dist_powercap_frames_total",
-                "Power-cap frames broadcast to fleet workers",
-                event=event,
-            ).inc()
 
     # -- Executor contract ---------------------------------------------
 

@@ -66,27 +66,6 @@ class WorkerSession:
             except OSError:
                 return  # connection is gone; the main loop will notice
 
-    @staticmethod
-    def _apply_powercap(msg: dict) -> None:
-        """Store the coordinator's cap frame in the process-global slot.
-
-        Observational only: shard results are a pure function of the
-        shard inputs, so applying (or dropping) a cap frame can never
-        change what this worker computes — stale-epoch frames are
-        ignored by :func:`repro.powercap.runtime.set_node_cap`.
-        """
-        from repro.powercap.runtime import set_node_cap
-
-        try:
-            set_node_cap(
-                msg.get("cap_w"),
-                msg.get("cap_ghz"),
-                int(msg.get("epoch", 0)),
-                node_id=msg.get("node_id"),
-            )
-        except (TypeError, ValueError):
-            pass  # malformed frame from a newer coordinator; ignore
-
     # -- task execution ------------------------------------------------
 
     def _resolve_fn(self, msg: dict):
@@ -106,34 +85,22 @@ class WorkerSession:
         fn = self._resolve_fn(msg)
         items = unpack_blob(msg["items"])
         indices: Sequence[int] = msg["item_indices"]
-        # Mirror every telemetry-bus publish made while running this
-        # shard, so governed workloads ship their samples fleet-ward.
-        from repro.governor.telemetry import drain_capture, start_capture
-
-        start_capture()
         results = []
-        try:
-            for global_index, item in zip(indices, items):
-                try:
-                    results.append(fn(item))
-                except BaseException as exc:  # noqa: BLE001 - shipped to the coordinator
-                    self._send_telemetry(msg, drain_capture())
-                    self.send(
-                        {
-                            "type": "task_error",
-                            "map_id": msg["map_id"],
-                            "shard_index": msg["shard_index"],
-                            "item_index": int(global_index),
-                            "error": pack_blob(exc),
-                            "pid": os.getpid(),
-                        }
-                    )
-                    return
-        finally:
-            samples = drain_capture()
-        # Telemetry goes first so the coordinator has the shard's
-        # samples by the time its result commits.
-        self._send_telemetry(msg, samples)
+        for global_index, item in zip(indices, items):
+            try:
+                results.append(fn(item))
+            except BaseException as exc:  # noqa: BLE001 - shipped to the coordinator
+                self.send(
+                    {
+                        "type": "task_error",
+                        "map_id": msg["map_id"],
+                        "shard_index": msg["shard_index"],
+                        "item_index": int(global_index),
+                        "error": pack_blob(exc),
+                        "pid": os.getpid(),
+                    }
+                )
+                return
         self.send(
             {
                 "type": "result",
@@ -141,19 +108,6 @@ class WorkerSession:
                 "shard_index": msg["shard_index"],
                 "shard_id": msg["shard_id"],
                 "results": pack_blob(results),
-                "pid": os.getpid(),
-            }
-        )
-
-    def _send_telemetry(self, msg: dict, samples: list) -> None:
-        if not samples:
-            return
-        self.send(
-            {
-                "type": "telemetry",
-                "map_id": msg["map_id"],
-                "shard_index": msg["shard_index"],
-                "samples": samples,
                 "pid": os.getpid(),
             }
         )
@@ -173,10 +127,8 @@ class WorkerSession:
                     return 0
                 if msg.get("type") == "task":
                     self._run_task(msg)
-                elif msg.get("type") == "powercap":
-                    self._apply_powercap(msg)
-                # Unknown message types are ignored: a newer coordinator
-                # may speak a superset of this protocol.
+                # Other frame types are skipped: a coordinator of
+                # another build may send frames this one does not know.
         finally:
             self._stop.set()
 

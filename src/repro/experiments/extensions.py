@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.compressors import SZCompressor
 from repro.core.breakeven import breakeven_clients
 from repro.core.multicore import optimal_configuration

@@ -26,7 +26,6 @@ materialized into a live governor next to the node that will run it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.governor.controller import AdaptiveGovernor
 from repro.governor.phases import Phase, PhaseDetector, phase_for_kind, phase_for_span
@@ -39,13 +38,7 @@ from repro.governor.policies import (
     StaticGovernor,
 )
 from repro.governor.simulate import GovernedIOResult, simulate_governed_io
-from repro.governor.telemetry import (
-    TelemetryBus,
-    TelemetrySample,
-    capture_active,
-    drain_capture,
-    start_capture,
-)
+from repro.governor.telemetry import TelemetryBus, TelemetrySample
 from repro.hardware.cpu import CpuSpec
 
 __all__ = [
@@ -55,9 +48,6 @@ __all__ = [
     "phase_for_span",
     "TelemetryBus",
     "TelemetrySample",
-    "start_capture",
-    "drain_capture",
-    "capture_active",
     "Governor",
     "GovernorReport",
     "StaticGovernor",
@@ -114,7 +104,6 @@ def make_governor(
     seed: int = 0,
     window: int = 64,
     power_curve=None,
-    telemetry: Optional[TelemetryBus] = None,
 ) -> Governor:
     """Factory over the three policies.
 
@@ -122,17 +111,15 @@ def make_governor(
     the other policies ignore it.
     """
     if kind == "static":
-        return StaticGovernor(cpu, telemetry=telemetry)
+        return StaticGovernor(cpu)
     if kind == "adaptive":
-        return AdaptiveGovernor(
-            cpu, seed=seed, window=window, telemetry=telemetry
-        )
+        return AdaptiveGovernor(cpu, seed=seed, window=window)
     if kind == "oracle":
         if power_curve is None:
             raise ValueError(
                 "oracle governor needs the node's ground-truth power_curve"
             )
-        return OracleGovernor(cpu, power_curve, telemetry=telemetry)
+        return OracleGovernor(cpu, power_curve)
     raise ValueError(
         f"unknown governor policy {kind!r}; known: {', '.join(GOVERNOR_KINDS)}"
     )

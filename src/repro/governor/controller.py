@@ -42,7 +42,7 @@ from repro.governor.policies import (
     Governor,
     _budgeted_frequency,
 )
-from repro.governor.telemetry import TelemetryBus, TelemetrySample
+from repro.governor.telemetry import TelemetrySample
 from repro.hardware.cpu import CpuSpec
 
 __all__ = ["AdaptiveGovernor", "DEFAULT_WARMUP_FRACTIONS"]
@@ -128,9 +128,8 @@ class AdaptiveGovernor(Governor):
         converge_after: int = 3,
         warmup_fractions: Tuple[float, ...] = DEFAULT_WARMUP_FRACTIONS,
         min_fit_points: int = 4,
-        telemetry: Optional[TelemetryBus] = None,
     ) -> None:
-        super().__init__(cpu, telemetry)
+        super().__init__(cpu)
         if window < min_fit_points:
             raise ValueError(
                 f"window must be >= {min_fit_points}, got {window}"

@@ -109,13 +109,9 @@ class Governor(abc.ABC):
 
     name = "governor"
 
-    def __init__(
-        self,
-        cpu: CpuSpec,
-        telemetry: Optional[TelemetryBus] = None,
-    ) -> None:
+    def __init__(self, cpu: CpuSpec) -> None:
         self.cpu = cpu
-        self.telemetry = telemetry if telemetry is not None else TelemetryBus()
+        self.telemetry = TelemetryBus()
         #: Ordered decision log; entries are plain dicts so the trace
         #: serializes canonically.
         self.trace: list = []
@@ -252,9 +248,8 @@ class StaticGovernor(Governor):
         self,
         cpu: CpuSpec,
         policy: TuningPolicy = PAPER_POLICY,
-        telemetry: Optional[TelemetryBus] = None,
     ) -> None:
-        super().__init__(cpu, telemetry)
+        super().__init__(cpu)
         self.policy = policy
 
     def _decide(self, phase: Phase) -> Tuple[float, str]:
@@ -279,9 +274,8 @@ class OracleGovernor(Governor):
         power_curve,
         budgets: Optional[Dict[Phase, float]] = None,
         hysteresis: float = DEFAULT_HYSTERESIS,
-        telemetry: Optional[TelemetryBus] = None,
     ) -> None:
-        super().__init__(cpu, telemetry)
+        super().__init__(cpu)
         self.power_curve = power_curve
         self.budgets = dict(DEFAULT_SLOWDOWN_BUDGETS)
         if budgets:

@@ -1,9 +1,10 @@
 """Streaming power telemetry: the measure side of the control loop.
 
 A :class:`TelemetryBus` is a bounded ring buffer of RAPL-style samples
-— power, frequency, phase tag, bytes processed — published by whatever
-is running work (the dump pipeline, the service, a benchmark driver)
-and consumed by controllers and exporters. Design points:
+— power, frequency, phase tag, bytes processed — published through
+``Governor.observe`` by whatever is running work (the dump pipeline,
+the service, a benchmark driver) and read by the governor's policy and
+by exporters. Design points:
 
 * **Ordered.** Every sample gets a bus-wide monotonically increasing
   ``seq`` assigned under the bus lock, so consumers can prove no
@@ -11,15 +12,11 @@ and consumed by controllers and exporters. Design points:
 * **Bounded.** The buffer holds ``capacity`` samples; the oldest fall
   off and are counted on :attr:`TelemetryBus.dropped` — a telemetry
   path must never grow without bound under a long campaign.
-* **Observable.** Subscribers get each sample synchronously at publish
-  time (metrics bridges, live plotters); exports go through the
-  observability layer's JSON-lines writer.
+* **Exportable.** Exports go through the observability layer's
+  JSON-lines writer.
 
-The module-level *capture* hooks exist for the distributed executor:
-a worker process enables capture around a task, every bus publish in
-that process is mirrored into the capture list, and the worker ships
-the drained list back to the coordinator as a ``telemetry`` wire frame
-(see :mod:`repro.distributed.worker`).
+Each governor owns its bus: the samples a governor observes are the
+ones its policy refits on, and nothing else publishes there.
 """
 
 from __future__ import annotations
@@ -27,17 +24,11 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.governor.phases import Phase
 
-__all__ = [
-    "TelemetrySample",
-    "TelemetryBus",
-    "start_capture",
-    "drain_capture",
-    "capture_active",
-]
+__all__ = ["TelemetrySample", "TelemetryBus"]
 
 
 def _phase_value(phase) -> str:
@@ -65,7 +56,7 @@ class TelemetrySample:
         return self.power_w * self.runtime_s
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-types dict, safe for canonical JSON and wire frames."""
+        """Plain-types dict, safe for canonical JSON."""
         return {
             "seq": self.seq,
             "phase": self.phase,
@@ -79,7 +70,7 @@ class TelemetrySample:
 
 
 class TelemetryBus:
-    """Bounded, ordered, subscribable ring buffer of telemetry samples."""
+    """Bounded, ordered ring buffer of telemetry samples."""
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
@@ -89,7 +80,6 @@ class TelemetryBus:
         self._buffer: deque = deque(maxlen=self.capacity)
         self._next_seq = 0
         self._dropped = 0
-        self._subscribers: List[Callable[[TelemetrySample], None]] = []
 
     def publish(
         self,
@@ -98,14 +88,12 @@ class TelemetryBus:
         power_w: float,
         runtime_s: float,
         bytes_processed: int,
-        source: str = "local",
     ) -> TelemetrySample:
         """Record one sample; returns it with its assigned ``seq``.
 
-        Sequence assignment, buffering, capture mirroring and
-        subscriber delivery all happen under one lock hold, so two
-        racing publishers can never deliver out of seq order — the
-        no-drop/no-reorder property the concurrency tests pin down.
+        Sequence assignment and buffering happen under one lock hold,
+        so two racing publishers can never buffer out of seq order —
+        the no-drop/no-reorder property the concurrency tests pin down.
         """
         if freq_ghz <= 0 or power_w <= 0 or runtime_s <= 0:
             raise ValueError(
@@ -125,35 +113,12 @@ class TelemetryBus:
                 power_w=float(power_w),
                 runtime_s=float(runtime_s),
                 bytes_processed=int(bytes_processed),
-                source=source,
             )
             self._next_seq += 1
             if len(self._buffer) == self.capacity:
                 self._dropped += 1
             self._buffer.append(sample)
-            _mirror_to_capture(sample)
-            subscribers = tuple(self._subscribers)
-            for fn in subscribers:
-                fn(sample)
         return sample
-
-    def subscribe(
-        self, fn: Callable[[TelemetrySample], None]
-    ) -> Callable[[], None]:
-        """Register a synchronous per-sample callback; returns a
-        deregistration callable. Callbacks run under the bus lock —
-        keep them fast and never publish from inside one."""
-        with self._lock:
-            self._subscribers.append(fn)
-
-        def unsubscribe() -> None:
-            with self._lock:
-                try:
-                    self._subscribers.remove(fn)
-                except ValueError:
-                    pass
-
-        return unsubscribe
 
     # -- reads ---------------------------------------------------------
 
@@ -211,43 +176,3 @@ class TelemetryBus:
         from repro.observability.exporters import write_telemetry_jsonl
 
         write_telemetry_jsonl(path, self.to_records())
-
-
-# ----------------------------------------------------------------------
-# Process-global capture (distributed workers mirror publishes here)
-# ----------------------------------------------------------------------
-
-_capture_lock = threading.Lock()
-_capture: Optional[List[Dict[str, object]]] = None
-
-
-def _mirror_to_capture(sample: TelemetrySample) -> None:
-    # Called under a bus lock; the capture lock only guards the list
-    # swap, so lock order is always bus -> capture (never inverted).
-    with _capture_lock:
-        if _capture is not None:
-            _capture.append(sample.as_dict())
-
-
-def start_capture() -> None:
-    """Begin mirroring every bus publish in this process into a list.
-
-    Idempotent: re-starting clears any half-drained capture, so a
-    worker task always ships exactly its own samples.
-    """
-    global _capture
-    with _capture_lock:
-        _capture = []
-
-
-def drain_capture() -> List[Dict[str, object]]:
-    """Stop capturing and return the mirrored samples (publish order)."""
-    global _capture
-    with _capture_lock:
-        captured, _capture = _capture, None
-    return captured or []
-
-
-def capture_active() -> bool:
-    with _capture_lock:
-        return _capture is not None

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from repro.hardware.node import SimulatedNode
 from repro.hardware.perf import PerfStat, PowerSample
 from repro.hardware.workload import Workload, write_workload

@@ -93,7 +93,7 @@ def telemetry_to_jsonl(records: Sequence[Dict[str, object]]) -> str:
 
     Records are the plain dicts a
     :class:`repro.governor.telemetry.TelemetryBus` emits
-    (``to_records()`` / drained captures); the format matches the span
+    (``to_records()``); the format matches the span
     dump so the same tooling consumes both.
     """
     return "".join(

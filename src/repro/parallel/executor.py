@@ -35,7 +35,7 @@ from concurrent.futures import FIRST_EXCEPTION
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 from concurrent.futures import wait as _wait
-from typing import Any, Callable, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 __all__ = [
     "Executor",

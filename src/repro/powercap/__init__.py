@@ -9,15 +9,13 @@ measure -> allocate -> actuate loop at that layer:
   (uniform, proportional-to-demand, makespan-argmin water-filling)
   over discrete per-node frequency/power models;
 * :mod:`repro.powercap.controller` — :class:`ClusterCapController`,
-  which subscribes to the telemetry bus, inverts each node's fitted
-  ``P(f)`` curve into a ``cap_ghz``, re-allocates on phase-change and
-  node join/leave epochs, and seals a sha256-receipted decision trace;
-* :mod:`repro.powercap.runtime` — the observational per-worker cap
-  state that distributed ``powercap`` wire frames update.
+  which takes node demand through ``record_demand``, inverts each
+  node's fitted ``P(f)`` curve into a ``cap_ghz``, re-allocates on
+  phase-change and node join/leave epochs, and seals a sha256-receipted
+  decision trace.
 
 Consumers: ``iosim.cluster.SimulatedCluster`` (capped cluster dumps),
-``workflow.campaign`` (``power_budget_w`` on campaign points), the
-distributed coordinator (cap broadcast + dead-node redistribution),
+``workflow.campaign`` (``power_budget_w`` on campaign points),
 ``service.http`` (``POST /v1/powercap``) and the ``repro powercap``
 CLI. See ``docs/POWERCAP.md``.
 """

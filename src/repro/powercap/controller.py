@@ -11,10 +11,8 @@ that callers push down through the existing
 The controller re-solves the allocation on *epochs*: node join, node
 leave (a dead node's watts redistribute on that epoch), phase change
 (compress and write draw very different power at the same clock), and
-explicit requests. Demand estimates for the proportional policy stream
-in from a :class:`~repro.governor.telemetry.TelemetryBus` — samples are
-attributed to nodes by their ``source`` tag — or are recorded directly
-via :meth:`ClusterCapController.record_demand`.
+explicit requests. Demand estimates for the proportional policy come
+in through :meth:`ClusterCapController.record_demand`.
 
 Every epoch appends a canonical trace entry; :meth:`report` seals the
 trace with a sha256 receipt, the same determinism contract the adaptive
@@ -68,6 +66,9 @@ __all__ = [
 DEFAULT_NFS_RESERVE_W = 40.0
 
 POWERCAP_PHASES: Tuple[str, ...] = ("compress", "write", "idle")
+
+#: Recorded watts kept per node; its demand is their mean.
+_DEMAND_WINDOW = 8
 
 _EPS = 1e-9
 
@@ -213,10 +214,9 @@ class PowercapReport:
 class ClusterCapController:
     """Splits a fleet watt budget across nodes plus the NFS reserve.
 
-    Thread-safe: the distributed coordinator joins/leaves nodes from
-    its reader threads while telemetry streams in. Telemetry callbacks
-    run under the bus lock, so :meth:`_on_sample` only records demand
-    and phase changes — it never publishes back to the bus.
+    Thread-safe: every public method holds the controller's lock, so
+    callers may share one controller across threads (joins, leaves,
+    demand and phase announcements in any interleaving).
     """
 
     def __init__(
@@ -225,8 +225,6 @@ class ClusterCapController:
         policy: str = "waterfill",
         nfs_reserve_w: float = DEFAULT_NFS_RESERVE_W,
         hysteresis: float = DEFAULT_CAP_HYSTERESIS,
-        telemetry=None,
-        demand_window: int = 8,
     ) -> None:
         self.budget_w = check_budget_w(budget_w)
         if policy not in ALLOCATION_POLICIES:
@@ -244,9 +242,6 @@ class ClusterCapController:
         self.nfs_reserve_w = float(nfs_reserve_w)
         check_in_range(hysteresis, 0.0, 1.0, "hysteresis")
         self.hysteresis = float(hysteresis)
-        if demand_window < 1:
-            raise ValueError(f"demand_window must be >= 1, got {demand_window}")
-        self._demand_window = int(demand_window)
         self._lock = threading.RLock()
         # node_id -> (cpu, power_curve, work)
         self._nodes: Dict[str, Tuple[CpuSpec, PowerCurve, float]] = {}
@@ -268,9 +263,6 @@ class ClusterCapController:
         # Running sha256 of trace_json(): "[" then each entry's canonical
         # JSON as it is appended, comma-separated; report() closes a copy.
         self._trace_hash = hashlib.sha256(b"[")
-        self._unsubscribe = None
-        if telemetry is not None:
-            self._unsubscribe = telemetry.subscribe(self._on_sample)
 
     # -- fleet membership ------------------------------------------------
 
@@ -303,7 +295,7 @@ class ClusterCapController:
             self._nodes[node_id] = (cpu, power_curve, work)
             self._curve_keys[node_id] = curve_key
             self._demand.setdefault(
-                node_id, deque(maxlen=self._demand_window)
+                node_id, deque(maxlen=_DEMAND_WINDOW)
             )
             return self._reallocate_locked("join")
 
@@ -326,31 +318,10 @@ class ClusterCapController:
         with self._lock:
             return tuple(sorted(self._nodes))
 
-    # -- telemetry -------------------------------------------------------
-
-    def _on_sample(self, sample) -> None:
-        """TelemetryBus subscriber: record demand, track phase flips.
-
-        Runs under the bus lock — must stay cheap and must never
-        publish. Samples from unregistered sources are ignored (the
-        local bus also carries the single-node governor's samples).
-        """
-        source = getattr(sample, "source", None)
-        phase = getattr(sample, "phase", None)
-        power_w = getattr(sample, "power_w", None)
-        with self._lock:
-            if source in self._nodes and power_w is not None:
-                self._demand[source].append(float(power_w))
-            if (
-                source in self._nodes
-                and phase in POWERCAP_PHASES
-                and phase != self._phase
-            ):
-                self._phase = phase
-                self._reallocate_locked("phase-change")
+    # -- demand ----------------------------------------------------------
 
     def record_demand(self, node_id: str, power_w: float) -> None:
-        """Directly record a node's observed watts (no bus required)."""
+        """Record a node's observed watts (the proportional policy's demand)."""
         node_id = str(node_id)
         check_budget_w(power_w, "power_w")
         with self._lock:
@@ -359,7 +330,7 @@ class ClusterCapController:
             self._demand[node_id].append(float(power_w))
 
     def demands(self) -> Dict[str, float]:
-        """Per-node demand estimate: mean of the telemetry window."""
+        """Per-node demand estimate: mean of its last recorded watts."""
         with self._lock:
             return {
                 node_id: sum(window) / len(window)
@@ -542,15 +513,3 @@ class ClusterCapController:
                 makespan=self._last_makespan,
                 trace_sha256=digest,
             )
-
-    def close(self) -> None:
-        """Detach from the telemetry bus (idempotent)."""
-        unsubscribe, self._unsubscribe = self._unsubscribe, None
-        if unsubscribe is not None:
-            unsubscribe()
-
-    def __enter__(self) -> "ClusterCapController":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

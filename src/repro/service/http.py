@@ -229,12 +229,12 @@ class TuningServer:
         # Governor sessions (/v1/govern): keyed controllers that learn
         # across requests. Creation and stepping happen under one lock —
         # a controller's RNG/trace is not safe under concurrent decide().
-        self._governors: Dict[str, Any] = {}
+        self._governors: Dict[Tuple[str, str, str, int, int], Any] = {}
         self._governors_lock = threading.Lock()
         # Power-cap sessions (/v1/powercap): keyed ClusterCapControllers
         # whose fleet membership, demand and trace persist across
         # requests. Same single-lock discipline as governor sessions.
-        self._powercaps: Dict[str, Any] = {}
+        self._powercaps: Dict[Tuple[str, str, float, float], Any] = {}
         self._powercaps_lock = threading.Lock()
 
     # -- caching -------------------------------------------------------
@@ -312,7 +312,7 @@ class TuningServer:
         if not isinstance(samples, list):
             raise BadRequestError("field 'samples' must be a list")
         session = str(payload.get("session", "default"))
-        key = f"{session}|{cpu.arch}|{policy}|{seed}|{window}"
+        key = (session, cpu.arch, policy, seed, window)
 
         with self._governors_lock:
             governor = self._governors.get(key)
@@ -394,7 +394,7 @@ class TuningServer:
         if not isinstance(demands, dict):
             raise BadRequestError("field 'demands' must be an object")
         session = str(payload.get("session", "default"))
-        key = f"{session}|{policy}|{budget_w:g}|{nfs_reserve_w:g}"
+        key = (session, policy, budget_w, nfs_reserve_w)
 
         with self._powercaps_lock:
             controller = self._powercaps.get(key)

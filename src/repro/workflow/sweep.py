@@ -8,7 +8,7 @@ ratios; power/runtime comes from the simulated node (see DESIGN.md §2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np

@@ -14,10 +14,38 @@ The shuffle is grouped by module so module-scoped fixtures keep their
 locality (the expensive sample-field and worker-fleet fixtures are
 built once per module either way); dependence on *fixtures* is fine,
 dependence on *order* is the bug this hook exists to surface.
+
+The autouse ``_process_globals_restored`` fixture fails any test that
+leaves the process-wide result cache, tracer or kernel-backend override
+different from what it found, so no test leans on (or leaks) a sibling's
+global state.
 """
 
 import os
 import random
+
+import pytest
+
+from repro.cache import get_cache
+from repro.compressors import kernels
+from repro.observability import get_tracer
+
+
+@pytest.fixture(autouse=True)
+def _process_globals_restored():
+    cache, tracer, override = get_cache(), get_tracer(), kernels._override
+    yield
+    changed = [
+        name for name, same in (
+            ("result cache", get_cache() is cache),
+            ("tracer", get_tracer() is tracer),
+            ("kernel-backend override", kernels._override == override),
+        ) if not same
+    ]
+    if changed:
+        pytest.fail("test left the process-wide " + ", ".join(changed)
+                    + " changed; restore it (use_cache/use_tracer/"
+                    "use_backend)", pytrace=False)
 
 
 def pytest_collection_modifyitems(config, items):

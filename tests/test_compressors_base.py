@@ -6,7 +6,6 @@ import pytest
 from repro.compressors.base import (
     CompressedBuffer,
     CompressionError,
-    Compressor,
     CorruptStreamError,
     available_compressors,
     get_compressor,

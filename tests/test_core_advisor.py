@@ -1,6 +1,5 @@
 """Unit tests for the error-bound advisor."""
 
-import numpy as np
 import pytest
 
 from repro.compressors import SZCompressor, ZFPCompressor

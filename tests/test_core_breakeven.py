@@ -1,6 +1,5 @@
 """Unit tests for the compress-or-not break-even analysis."""
 
-import numpy as np
 import pytest
 
 from repro.core.breakeven import (

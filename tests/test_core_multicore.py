@@ -1,6 +1,5 @@
 """Unit tests for multi-core frequency/width co-tuning."""
 
-import numpy as np
 import pytest
 
 from repro.core.multicore import (

@@ -1,6 +1,5 @@
 """Integration-level tests for the end-to-end pipeline."""
 
-import numpy as np
 import pytest
 
 from repro.core.pipeline import TunedIOPipeline

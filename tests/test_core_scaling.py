@@ -1,6 +1,5 @@
 """Unit tests for max-clock scaling."""
 
-import numpy as np
 import pytest
 
 from repro.core.samples import SampleSet

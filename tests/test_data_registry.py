@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data.registry import (
-    DATASETS,
     available_datasets,
     get_dataset,
     load_dataset,

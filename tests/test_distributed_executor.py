@@ -11,9 +11,20 @@ The fleet is module-scoped: spinning up worker processes costs ~1 s,
 so every test shares one 2-worker fleet.
 """
 
+import socket
+import threading
+
 import pytest
 
-from repro.distributed import DistributedExecutor, FleetError
+from repro.distributed import (
+    DistributedExecutor,
+    FleetError,
+    pack_blob,
+    recv_frame,
+    send_frame,
+    unpack_blob,
+)
+from repro.distributed.worker import WorkerSession
 from repro.observability.metrics import get_registry
 from repro.parallel import (
     Executor,
@@ -212,3 +223,81 @@ class TestRegistration:
             "sys.exit(1 if 'repro.distributed' in sys.modules else 0)"
         )
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def _older_build_worker(address):
+    """An external worker that sends a ``telemetry`` frame before each
+    ``result``, as builds that shipped governor samples fleet-ward did."""
+    with socket.create_connection(address) as sock:
+        send_frame(sock, {"type": "hello"})  # no pid: nothing to signal
+        fn = None
+        while True:
+            msg = recv_frame(sock)
+            if msg is None or msg["type"] == "shutdown":
+                return
+            if msg["type"] != "task":
+                continue
+            if "fn" in msg:
+                fn = unpack_blob(msg["fn"])
+            results = [fn(item) for item in unpack_blob(msg["items"])]
+            send_frame(sock, {
+                "type": "telemetry",
+                "map_id": msg["map_id"],
+                "shard_index": msg["shard_index"],
+                "samples": [{"seq": 0, "phase": "compress", "freq_ghz": 2.0,
+                             "power_w": 20.0, "runtime_s": 1.0,
+                             "bytes_processed": 1000}],
+            })
+            send_frame(sock, {
+                "type": "result",
+                "map_id": msg["map_id"],
+                "shard_index": msg["shard_index"],
+                "shard_id": msg["shard_id"],
+                "results": pack_blob(results),
+            })
+
+
+class TestMixedVersionFleets:
+    """Each side skips frame types it does not know, so a coordinator
+    and workers of different builds still complete a map."""
+
+    def test_worker_skips_a_powercap_frame(self):
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            # Everything the coordinator says is queued before the
+            # session starts, so the frame order alone drives it.
+            send_frame(ours, {"type": "powercap", "node_id": "worker-0",
+                              "cap_w": 30.0, "cap_ghz": 1.5,
+                              "infeasible": False, "epoch": 1})
+            send_frame(ours, {"type": "task", "map_id": "m0",
+                              "fn": pack_blob(_square),
+                              "items": pack_blob([3, 4]),
+                              "item_indices": [0, 1],
+                              "shard_index": 0, "shard_id": "s0"})
+            send_frame(ours, {"type": "shutdown"})
+            assert WorkerSession(theirs, heartbeat_s=60.0).run() == 0
+            replies = []
+            ours.settimeout(5.0)
+            theirs.shutdown(socket.SHUT_WR)
+            while (msg := recv_frame(ours)) is not None:
+                if msg["type"] != "heartbeat":
+                    replies.append(msg)
+        assert [m["type"] for m in replies] == ["hello", "result"]
+        assert replies[1]["shard_id"] == "s0"
+        assert unpack_blob(replies[1]["results"]) == [9, 16]
+
+    def test_coordinator_skips_telemetry_frames(self):
+        ex = DistributedExecutor(1, spawn=False, listen="127.0.0.1:0",
+                                 heartbeat_s=0.2, heartbeat_timeout_s=60.0)
+        worker = threading.Thread(target=_older_build_worker,
+                                  args=(ex.address,), daemon=True)
+        worker.start()
+        try:
+            assert ex.map(_square, list(range(6))) == [
+                x * x for x in range(6)
+            ]
+        finally:
+            ex.close()
+        # close() sends the shutdown frame the worker returns on.
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()

@@ -2,8 +2,7 @@
 
 CI runs this file under the 4-backend ``REPRO_TEST_EXECUTOR`` matrix
 (serial / thread / process / distributed): a governed sweep must be
-byte-identical whichever backend runs it, and the distributed backend
-must additionally ship worker-side telemetry back to the coordinator.
+byte-identical whichever backend runs it.
 """
 
 import json
@@ -15,10 +14,8 @@ from repro.cache import ResultCache, fingerprint, use_cache
 from repro.cli import main
 from repro.compressors import SZCompressor
 from repro.governor import GovernorSpec, StaticGovernor
-from repro.governor.telemetry import TelemetryBus
 from repro.hardware.cpu import BROADWELL_D1548
 from repro.hardware.node import SimulatedNode
-from repro.hardware.workload import WorkloadKind
 from repro.iosim.dumper import DataDumper
 from repro.workflow.campaign import (
     CheckpointCampaign,
@@ -78,15 +75,14 @@ class TestStaticGovernorIsEqn3:
         assert gov.trace == []
 
     def test_dump_feeds_observations_back(self, field):
-        bus = TelemetryBus()
-        gov = StaticGovernor(CPU, telemetry=bus)
+        gov = StaticGovernor(CPU)
         DataDumper(SimulatedNode(CPU, seed=0)).dump(
             SZCompressor(), field, 1e-2, int(1e9), governor=gov,
         )
-        phases = [s.phase for s in bus.samples()]
+        phases = [s.phase for s in gov.telemetry.samples()]
         assert phases == ["compress", "write"]
         assert all(s.power_w > 0 and s.bytes_processed > 0
-                   for s in bus.samples())
+                   for s in gov.telemetry.samples())
 
 
 class TestCampaignIntegration:
@@ -183,37 +179,6 @@ class TestExecutorMatrix:
                 CPU, SZCompressor(), field, points, campaign,
                 executor=EXECUTOR, **kw)
         assert encode_value(list(under_test)) == encode_value(list(baseline))
-
-
-def _publish_samples(n):
-    """Worker-side map fn: publish *n* samples on a fresh local bus."""
-    bus = TelemetryBus()
-    for i in range(n):
-        bus.publish("compress", 2.0, 20.0 + i, 1.0, 1000 * (i + 1))
-    return n
-
-
-class TestDistributedTelemetry:
-    def test_worker_publishes_reach_the_coordinator(self):
-        from repro.distributed import DistributedExecutor
-
-        with DistributedExecutor(2, heartbeat_s=0.2,
-                                 heartbeat_timeout_s=10.0) as ex:
-            assert ex.map(_publish_samples, [2, 3]) == [2, 3]
-            frames = ex.drain_telemetry()
-        assert len(frames) == 5
-        assert all(f["source"] == "distributed" for f in frames)
-        assert all(f["worker_pid"] > 0 for f in frames)
-        assert {f["phase"] for f in frames} == {"compress"}
-
-    def test_drain_is_empty_after_drain(self):
-        from repro.distributed import DistributedExecutor
-
-        with DistributedExecutor(2, heartbeat_s=0.2,
-                                 heartbeat_timeout_s=10.0) as ex:
-            ex.map(_publish_samples, [1])
-            ex.drain_telemetry()
-            assert ex.drain_telemetry() == []
 
 
 class TestGovernOverHttp:

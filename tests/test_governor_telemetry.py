@@ -1,10 +1,9 @@
-"""Telemetry bus invariants: order, bounds, capture, concurrency.
+"""Telemetry bus invariants: order, bounds, export, concurrency.
 
 The governor's whole epistemology is the telemetry stream; these tests
 pin the properties the controller leans on — bus-wide seq order (never
-reordered within a phase), bounded memory with an honest ``dropped``
-counter, and the process-global capture hooks the distributed workers
-use to ship samples fleet-ward.
+reordered within a phase) and bounded memory with an honest
+``dropped`` counter.
 """
 
 import json
@@ -15,13 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.governor.phases import Phase
-from repro.governor.telemetry import (
-    TelemetryBus,
-    TelemetrySample,
-    capture_active,
-    drain_capture,
-    start_capture,
-)
+from repro.governor.telemetry import TelemetryBus, TelemetrySample
 
 
 def pub(bus, phase="compress", **kw):
@@ -30,15 +23,6 @@ def pub(bus, phase="compress", **kw):
     kw.setdefault("runtime_s", 1.0)
     kw.setdefault("bytes_processed", 1000)
     return bus.publish(phase, **kw)
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_capture():
-    # Capture is process-global state; a test that leaks an active
-    # capture would silently tax every later publish in the suite.
-    drain_capture()
-    yield
-    drain_capture()
 
 
 class TestSample:
@@ -130,17 +114,6 @@ class TestRingSemantics:
 
 
 class TestSubscribers:
-    def test_subscriber_sees_every_sample_until_unsubscribed(self):
-        bus = TelemetryBus()
-        seen = []
-        unsubscribe = bus.subscribe(seen.append)
-        pub(bus)
-        pub(bus)
-        unsubscribe()
-        pub(bus)
-        assert [s.seq for s in seen] == [0, 1]
-        unsubscribe()  # idempotent
-
     def test_export_jsonl_is_one_record_per_sample(self, tmp_path):
         bus = TelemetryBus()
         for _ in range(3):
@@ -150,38 +123,6 @@ class TestSubscribers:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert [json.loads(ln)["seq"] for ln in lines] == [0, 1, 2]
-
-
-class TestCapture:
-    def test_capture_mirrors_only_while_active(self):
-        bus = TelemetryBus()
-        pub(bus)  # before: not captured
-        assert not capture_active()
-        start_capture()
-        assert capture_active()
-        pub(bus)
-        pub(bus)
-        drained = drain_capture()
-        assert not capture_active()
-        pub(bus)  # after: not captured
-        assert [d["seq"] for d in drained] == [1, 2]
-        assert drain_capture() == []
-
-    def test_restart_clears_half_drained_capture(self):
-        bus = TelemetryBus()
-        start_capture()
-        pub(bus)
-        start_capture()  # a new task must ship only its own samples
-        pub(bus)
-        assert [d["seq"] for d in drain_capture()] == [1]
-
-    def test_capture_spans_every_bus_in_the_process(self):
-        a, b = TelemetryBus(), TelemetryBus()
-        start_capture()
-        pub(a)
-        pub(b, phase="write")
-        phases = [d["phase"] for d in drain_capture()]
-        assert phases == ["compress", "write"]
 
 
 class TestConcurrency:
@@ -223,12 +164,3 @@ class TestConcurrency:
         for phase in ("compress", "write", "idle"):
             tagged = [s.seq for s in bus.samples(phase)]
             assert tagged == sorted(tagged)
-
-    def test_capture_keeps_publish_order_across_threads(self):
-        bus = TelemetryBus()
-        start_capture()
-        self._hammer(bus, 25)
-        drained = drain_capture()
-        assert len(drained) == self.N_THREADS * 25
-        seqs = [d["seq"] for d in drained]
-        assert seqs == sorted(seqs)

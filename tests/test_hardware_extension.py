@@ -11,7 +11,6 @@ from repro.hardware.workload import (
     compression_workload,
     decompression_workload,
     read_workload,
-    write_workload,
 )
 
 

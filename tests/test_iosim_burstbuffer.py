@@ -1,6 +1,5 @@
 """Unit tests for the burst-buffer tier."""
 
-import numpy as np
 import pytest
 
 from repro.compressors import SZCompressor

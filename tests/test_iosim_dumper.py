@@ -1,6 +1,5 @@
 """Unit tests for the compress-then-write dumper."""
 
-import numpy as np
 import pytest
 
 from repro.compressors import SZCompressor, ZFPCompressor

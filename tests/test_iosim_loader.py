@@ -1,6 +1,5 @@
 """Unit tests for the restore (read + decompress) pipeline."""
 
-import numpy as np
 import pytest
 
 from repro.compressors import SZCompressor

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.observability import (
     MetricsRegistry,
     Span,

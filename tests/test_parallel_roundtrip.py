@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.compressors import ChunkedCompressor, SZCompressor, ZFPCompressor
 from repro.compressors.base import CompressionError
 from repro.parallel import (
-    Executor,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,

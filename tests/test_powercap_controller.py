@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.governor.telemetry import TelemetryBus
 from repro.hardware.cpu import BROADWELL_D1548, SKYLAKE_4114
 from repro.hardware.powercurves import CalibratedPowerCurve
 from repro.observability.metrics import get_registry
@@ -160,41 +159,17 @@ class TestPhasesAndHysteresis:
 
 
 class TestTelemetryIntegration:
-    def test_bus_samples_become_demand(self):
-        bus = TelemetryBus()
-        ctl = make_controller(telemetry=bus)
-        ctl.join("node-a", CPU, CURVE)
-        bus.publish("compress", 2.0, 21.5, 1.0, 1000, source="node-a")
-        bus.publish("compress", 2.0, 22.5, 1.0, 1000, source="node-a")
-        bus.publish("compress", 2.0, 99.0, 1.0, 1000, source="stranger")
-        assert ctl.demands() == {"node-a": pytest.approx(22.0)}
-        ctl.close()
-
-    def test_phase_flip_on_the_bus_triggers_an_epoch(self):
-        bus = TelemetryBus()
-        ctl = make_controller(telemetry=bus)
-        ctl.join("node-a", CPU, CURVE)
-        e = ctl.epoch
-        bus.publish("write", 1.7, 23.0, 1.0, 1000, source="node-a")
-        assert ctl.phase == "write"
-        assert ctl.epoch == e + 1
-        ctl.close()
-
-    def test_close_detaches_from_the_bus(self):
-        bus = TelemetryBus()
-        ctl = make_controller(telemetry=bus)
-        ctl.join("node-a", CPU, CURVE)
-        ctl.close()
-        bus.publish("write", 1.7, 23.0, 1.0, 1000, source="node-a")
-        assert ctl.phase == "compress"
+    def test_demand_is_the_mean_of_the_last_eight_watts(self):
+        ctl = make_controller()
+        ctl.join("a", CPU, CURVE)
+        ctl.join("b", CPU, CURVE)
         assert ctl.demands() == {}
-
-    def test_context_manager_closes(self):
-        bus = TelemetryBus()
-        with make_controller(telemetry=bus) as ctl:
-            ctl.join("node-a", CPU, CURVE)
-        bus.publish("write", 1.7, 23.0, 1.0, 1000, source="node-a")
-        assert ctl.phase == "compress"
+        ctl.record_demand("a", 21.5)
+        ctl.record_demand("a", 22.5)
+        assert ctl.demands() == {"a": pytest.approx(22.0)}
+        for watts in range(10, 19):  # 10 falls out of the window
+            ctl.record_demand("b", float(watts))
+        assert ctl.demands()["b"] == pytest.approx(14.5)
 
     def test_record_demand_validates(self):
         ctl = make_controller()

@@ -1,15 +1,12 @@
-"""End-to-end power capping: cluster, sweeps, cache, distributed fleet.
+"""End-to-end power capping: cluster, sweeps, cache.
 
 CI runs this file under the 4-backend ``REPRO_TEST_EXECUTOR`` matrix:
 a budget-capped campaign sweep must be byte-identical whichever backend
 runs it, because the budget travels inside the pure, picklable
-:class:`~repro.iosim.dumper.RunConfig` and the runtime cap
-frames are observational only.
+:class:`~repro.iosim.dumper.RunConfig`.
 """
 
 import os
-import signal
-import time
 
 import pytest
 
@@ -21,7 +18,7 @@ from repro.hardware.node import SimulatedNode
 from repro.hardware.powercurves import CalibratedPowerCurve
 from repro.iosim.cluster import Cluster, SimulatedCluster
 from repro.iosim.dumper import DataDumper
-from repro.powercap import ClusterCapController, phase_caps_for_budget
+from repro.powercap import phase_caps_for_budget
 from repro.workflow.campaign import (
     CheckpointCampaign,
     RunConfig,
@@ -223,70 +220,3 @@ class TestCacheNoAliasing:
     def test_point_rejects_non_positive_budgets(self):
         with pytest.raises(ValueError):
             RunConfig(error_bound=1e-2, power_budget_w=0.0)
-
-
-def _slow_square(x):
-    time.sleep(0.15)
-    return x * x
-
-
-def _wait_for_fleet(controller, n, timeout_s=10.0):
-    """Workers are admitted asynchronously; poll until *n* registered."""
-    deadline = time.monotonic() + timeout_s
-    while len(controller.node_ids()) != n:
-        if time.monotonic() > deadline:
-            pytest.fail(
-                f"fleet never reached {n} nodes: {controller.node_ids()}")
-        time.sleep(0.05)
-
-
-@pytest.mark.skipif(EXECUTOR != "distributed",
-                    reason="fleet cap sync needs the distributed backend")
-class TestDistributedFleetCaps:
-    def test_attach_joins_the_live_fleet_and_broadcasts(self):
-        from repro.distributed import DistributedExecutor
-
-        ctl = ClusterCapController(100.0, nfs_reserve_w=40.0)
-        with DistributedExecutor(2, heartbeat_s=0.2,
-                                 heartbeat_timeout_s=10.0) as ex:
-            ex.attach_powercap(ctl, CPU, CURVE)
-            # The fleet assembles lazily on the first map; each admit
-            # then joins the controller and broadcasts its cap frame.
-            assert ex.map(_slow_square, [1, 2, 3]) == [1, 4, 9]
-            _wait_for_fleet(ctl, 2)
-            assert all(n.startswith("worker-") for n in ctl.node_ids())
-            caps = ctl.caps()
-            assert sum(c.cap_w for c in caps.values()) <= 60.0 + 1e-6
-
-    def test_dead_worker_watts_redistribute(self):
-        from repro.distributed import DistributedExecutor
-
-        ctl = ClusterCapController(68.0, nfs_reserve_w=40.0)
-        ex = DistributedExecutor(2, heartbeat_s=0.2,
-                                 heartbeat_timeout_s=2.0)
-        try:
-            ex.attach_powercap(ctl, CPU, CURVE)
-            assert ex.map(_slow_square, [1, 2]) == [1, 4]
-            _wait_for_fleet(ctl, 2)
-            before = ctl.caps()
-            # 28 W cannot float two broadwell nodes above the floor.
-            assert any(c.infeasible for c in before.values())
-            victim = ex.worker_pids()[0]
-            os.kill(victim, signal.SIGKILL)
-            # The map rides through the death (shard reassignment) and
-            # the coordinator prunes the fleet as a side effect.
-            assert ex.map(_slow_square, list(range(8))) == [
-                x * x for x in range(8)]
-            deadline = time.monotonic() + 10.0
-            while len(ctl.node_ids()) > 1:
-                if time.monotonic() > deadline:
-                    pytest.fail("controller never saw the worker die")
-                time.sleep(0.1)
-            after = ctl.caps()
-            (survivor_cap,) = after.values()
-            # The whole node budget now belongs to the survivor.
-            assert not survivor_cap.infeasible
-            assert survivor_cap.cap_w >= max(
-                c.cap_w for c in before.values()) - 1e-9
-        finally:
-            ex.close()

@@ -58,6 +58,18 @@ class TestPowercapSessions:
         assert status == 200
         assert set(doc["caps"]) == {"b"}
 
+    def test_budgets_differing_past_six_digits_do_not_share(self, server):
+        # Formatting the budget with six significant digits into the
+        # session key once merged these two sessions.
+        post(server, {"budget_w": 100.0001, "session": "s",
+                      "nodes": [{"id": "a"}]})
+        status, doc = post(server, {"budget_w": 100.0002, "session": "s",
+                                    "nodes": [{"id": "b"}]})
+        assert status == 200
+        assert doc["budget_w"] == 100.0002
+        assert doc["epoch"] == 1
+        assert set(doc["caps"]) == {"b"}
+
     def test_demands_trigger_a_reallocation(self, server):
         _, first = post(server, {
             "budget_w": 120.0, "session": "s", "policy": "proportional",

@@ -1,6 +1,5 @@
 """Unit + concurrency tests for the service model registry."""
 
-import json
 import threading
 
 import pytest

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.compressors import SZCompressor
 from repro.compressors.sz.regression import (
-    BLOCK_EDGE,
     fit_block_planes,
     pack_coefficients,
     predict_from_planes,

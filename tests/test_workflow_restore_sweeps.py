@@ -1,6 +1,5 @@
 """Unit tests for the restore-path sweeps (decompression + read)."""
 
-import numpy as np
 import pytest
 
 from repro.core.partitions import COMPRESSION_PARTITIONS, fit_partition_models
